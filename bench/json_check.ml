@@ -15,7 +15,12 @@
    (the graph-family measurement ladders: every fitted class agrees,
    every point well-shaped, and Question 7.3's sinkless-orientation
    rungs present).  The parser builds a minimal
-   value tree for this; the syntax-only modes discard it. *)
+   value tree for this; the syntax-only modes discard it.
+
+   --synth validates a `volcomp synth --json` verdict table: a non-empty
+   [verdicts] array whose rows carry [certified] (null or a boolean) and
+   [certify_error] (a string exactly when [certified] is false, the
+   DRUP replay's reason for rejecting the proof; null otherwise). *)
 
 exception Bad of int * string
 
@@ -204,7 +209,7 @@ let member key = function Vobj ms -> List.assoc_opt key ms | _ -> None
 let bench_fail path fmt =
   Printf.ksprintf
     (fun msg ->
-      Printf.eprintf "%s: bad bench report: %s\n" path msg;
+      Printf.eprintf "%s: bad report shape: %s\n" path msg;
       exit 1)
     fmt
 
@@ -353,14 +358,32 @@ let check_families_section path doc =
   if !so = 0 then bench_fail path "families section lacks sinkless-orientation (SO:) rungs";
   List.length reports
 
+let check_synth_verdicts path doc =
+  let rows =
+    match member "verdicts" doc with
+    | Some (Varr (_ :: _ as rows)) -> rows
+    | _ -> bench_fail path "verdicts missing, empty or not an array"
+  in
+  List.iteri
+    (fun i row ->
+      match (member "certified" row, member "certify_error" row) with
+      | Some (Vbool false), Some (Vstr _) -> ()
+      | Some (Vbool false), _ -> bench_fail path "verdict %d: certify_error is not a string" i
+      | Some (Vnull | Vbool true), Some Vnull -> ()
+      | Some (Vnull | Vbool true), _ -> bench_fail path "verdict %d: certify_error is not null" i
+      | _ -> bench_fail path "verdict %d: certified is not null or a boolean" i)
+    rows;
+  List.length rows
+
 let () =
   let mode, path =
     match Sys.argv with
     | [| _; "--jsonl"; path |] -> (`Jsonl, path)
     | [| _; "--bench"; path |] -> (`Bench, path)
+    | [| _; "--synth"; path |] -> (`Synth, path)
     | [| _; path |] -> (`Plain, path)
     | _ ->
-        prerr_endline "usage: json_check [--jsonl|--bench] FILE";
+        prerr_endline "usage: json_check [--jsonl|--bench|--synth] FILE";
         exit 2
   in
   let src = try read_file path with Sys_error msg -> prerr_endline msg; exit 2 in
@@ -397,6 +420,9 @@ let () =
              family report(s) ok)\n"
             path (String.length src) rows synth_rows family_reports
         end
+        else if mode = `Synth then
+          Printf.printf "%s: well-formed synth verdict table (%d verdict(s) ok)\n" path
+            (check_synth_verdicts path doc)
         else Printf.printf "%s: well-formed JSON (%d bytes)\n" path (String.length src)
     | exception Bad (pos, msg) ->
         Printf.eprintf "%s: malformed JSON at byte %d: %s\n" path pos msg;

@@ -1603,7 +1603,10 @@ let synth_cmd =
   let certify =
     Arg.(
       value & flag
-      & info [ "certify" ] ~doc:"Replay the DRUP proof log on every UNSAT verdict.")
+      & info [ "certify" ]
+          ~doc:
+            "Replay the DRUP proof log on every UNSAT verdict; exit non-zero if a \
+             replay rejects its proof.")
   in
   let expect =
     Arg.(
@@ -1704,15 +1707,25 @@ let synth_cmd =
               close_out oc;
               Fmt.pr "wrote %s@." path)
             json;
-          (match expect with
-          | None -> 0
-          | Some want ->
-              if List.for_all (fun v -> v.Classify.v_sat = want) verdicts then 0
-              else begin
-                Fmt.epr "synth: verdict mismatch (expected %s)@."
-                  (if want then "sat" else "unsat");
-                1
-              end)
+          let certified =
+            List.for_all (fun v -> v.Classify.v_report.Encode.certified <> Some false) verdicts
+            || begin
+                 Fmt.epr "synth: DRUP certification failed (reason in the verdict line)@.";
+                 false
+               end
+          in
+          let as_expected =
+            match expect with
+            | None -> true
+            | Some want ->
+                List.for_all (fun v -> v.Classify.v_sat = want) verdicts
+                || begin
+                     Fmt.epr "synth: verdict mismatch (expected %s)@."
+                       (if want then "sat" else "unsat");
+                     false
+                   end
+          in
+          if as_expected && certified then 0 else 1
     end
   in
   Cmd.v

@@ -326,13 +326,11 @@ let leaf_coloring_spec () =
     s_family = "tree";
     s_radius = 3;
     s_volume = 4;
-    (* Budget 3 is the rung directly below the witness and is also UNSAT
-       (see EXPERIMENTS.md), but its ~1.9 * 10^4-clause proof takes the
-       quadratic DRUP replay minutes to certify, so the per-check probe
-       pins budget 2 — certified in under a second and still strictly
-       below the Proposition 3.13 bound of 5.  The @synth-smoke rule
-       checks the budget-3 refutation itself (uncertified). *)
-    s_unsat_volume = 2;
+    (* Budget 3 is the rung directly below the witness, strictly below
+       the Proposition 3.13 bound of 5; its ~1.9 * 10^4-clause proof
+       replays in well under a second (see EXPERIMENTS.md), so the
+       per-check probe certifies it directly. *)
+    s_unsat_volume = 3;
     s_bound = Some 5;
     s_universe =
       Encode.U
@@ -418,6 +416,8 @@ let verdict_json v =
       ("restarts", Json.Int st.Sat.restarts);
       ( "certified",
         match r.Encode.certified with None -> Json.Null | Some b -> Json.Bool b );
+      ( "certify_error",
+        match r.Encode.certify_error with None -> Json.Null | Some e -> Json.String e );
       ("wall_s", Json.Float r.Encode.wall_s);
       ( "program",
         match r.Encode.outcome with
@@ -435,7 +435,8 @@ let pp_verdict ppf v =
     r.Encode.cegis_iters r.Encode.sat_stats.Sat.conflicts
     (match r.Encode.certified with
     | Some true -> ", certified"
-    | Some false -> ", CERTIFICATION FAILED"
+    | Some false ->
+        ", CERTIFICATION FAILED: " ^ Option.value r.Encode.certify_error ~default:"?"
     | None -> "")
     r.Encode.wall_s
 
@@ -468,7 +469,10 @@ let probe_one spec =
   let* () =
     if spec.s_unsat_volume < 1 then Ok () (* VOL >= 1 axiom short-circuit: no proof log *)
     else if unsat_v.v_report.Encode.certified = Some true then Ok ()
-    else Error (Printf.sprintf "synth: %s UNSAT proof failed DRUP replay" spec.s_name)
+    else
+      Error
+        (Printf.sprintf "synth: %s UNSAT proof failed DRUP replay: %s" spec.s_name
+           (Option.value unsat_v.v_report.Encode.certify_error ~default:"not certified"))
   in
   match spec.s_bound with
   | None -> Ok ()

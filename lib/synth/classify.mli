@@ -30,10 +30,9 @@
       volume 3 the red and blue instances are indistinguishable from
       the root.  Both the budget-3 and budget-2 UNSATs sit strictly
       below the Proposition 3.13 adversary bound ⌈n/3⌉ = 5 at n = 15;
-      the budget-3 proof is too large for the quadratic DRUP replay to
-      certify quickly, so {!spec.s_unsat_volume} pins the sub-second
-      certified budget-2 rung for the per-check probe (the budget-3
-      refutation is exercised by the smoke rules and the CLI ladder).
+      the budget-3 proof (~1.9 × 10⁴ learned clauses) DRUP-certifies in
+      under a second, so {!spec.s_unsat_volume} pins budget 3, the rung
+      directly below the witness, for the per-check probe.
       {!oracle_probe} re-derives the adversary bound live with
       {!Volcomp.Adversary_leaf.duel} so the SAT verdicts and the
       adversary subsystem cross-check each other. *)
@@ -85,7 +84,9 @@ val ladder : ?certify:bool -> spec -> (verdict list, string) result
 
 val verdict_json : verdict -> Vc_obs.Json.t
 (** Machine-readable verdict: problem, budget, outcome, witness program
-    (when SAT), solver statistics, CEGIS accounting. *)
+    (when SAT), solver statistics, CEGIS accounting, and the DRUP
+    replay's verdict ([certified]) with its failure reason
+    ([certify_error], null unless [certified] is false). *)
 
 val table_json : verdict list -> Vc_obs.Json.t
 

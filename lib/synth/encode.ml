@@ -31,6 +31,7 @@ type report = {
   n_vars : int;
   n_clauses : int;
   certified : bool option;
+  certify_error : string option;
   wall_s : float;
 }
 
@@ -390,7 +391,7 @@ let synthesize ?(seed_instances = 2) ?(max_cegis = 32) ?(certify = false) ?dimac
   | Error e -> Error e
   | Ok () ->
       let cnf = Cnf.create () in
-      let finish outcome ~iters ~encoded ~certified =
+      let finish outcome ~iters ~encoded ~certification =
         Option.iter (Cnf.write_dimacs cnf) dimacs_out;
         Ok
           {
@@ -400,7 +401,9 @@ let synthesize ?(seed_instances = 2) ?(max_cegis = 32) ?(certify = false) ?dimac
             sat_stats = Cnf.stats cnf;
             n_vars = Cnf.n_vars cnf;
             n_clauses = Cnf.n_clauses cnf;
-            certified;
+            certified = Option.map Result.is_ok certification;
+            certify_error =
+              (match certification with Some (Error e) -> Some e | _ -> None);
             wall_s = Unix.gettimeofday () -. t0;
           }
       in
@@ -408,7 +411,7 @@ let synthesize ?(seed_instances = 2) ?(max_cegis = 32) ?(certify = false) ?dimac
         (* The origin is always visited: VOL >= 1 is an axiom of the
            model, not something the executor's budget can catch (an
            origin-only program never admits). *)
-        finish Unsat_at_budget ~iters:0 ~encoded:0 ~certified:None
+        finish Unsat_at_budget ~iters:0 ~encoded:0 ~certification:None
       else begin
         let ch =
           Array.map
@@ -473,25 +476,21 @@ let synthesize ?(seed_instances = 2) ?(max_cegis = 32) ?(certify = false) ?dimac
                                   (Array.fold_left
                                      (fun acc b -> if b then acc + 1 else acc)
                                      0 encoded)
-                                ~certified:None
+                                ~certification:None
                           | None, Some i -> (
                               match encode_idx i with
                               | Error e -> Error e
                               | Ok () -> loop (iters + 1))))
                   | Unsat ->
-                      let certified =
-                        if certify then
-                          match Cnf.certify_unsat cnf with
-                          | Ok () -> Some true
-                          | Error _ -> Some false
-                        else None
+                      let certification =
+                        if certify then Some (Cnf.certify_unsat cnf) else None
                       in
                       finish Unsat_at_budget ~iters:(iters + 1)
                         ~encoded:
                           (Array.fold_left
                              (fun acc b -> if b then acc + 1 else acc)
                              0 encoded)
-                        ~certified
+                        ~certification
               in
               loop 0
         end

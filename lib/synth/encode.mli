@@ -75,6 +75,9 @@ type report = {
   certified : bool option;
       (** [Some true] iff the final UNSAT was DRUP-certified; [None]
           when SAT or when certification was not requested *)
+  certify_error : string option;
+      (** why the DRUP replay rejected the proof (the failing step, or
+          the exhausted budget); [Some _] iff [certified = Some false] *)
   wall_s : float;  (** wall-clock seconds for the whole search *)
 }
 
@@ -99,8 +102,10 @@ val synthesize :
     distance ≤ [radius] on every corpus instance.  [volume < 1] or
     [radius < 0] is [Unsat_at_budget] by the model's axioms (the origin
     alone already costs volume 1).  [certify] (default [false]) replays
-    the DRUP log on an UNSAT verdict.  [dimacs_out] writes the final
-    CNF for external cross-checking.  Deterministic.  [Error] on
+    the DRUP log on an UNSAT verdict; a rejected replay is still a
+    verdict, with the checker's reason in [certify_error].
+    [dimacs_out] writes the final CNF for external cross-checking.
+    Deterministic.  [Error] on
     malformed templates, oversized instances (> 62 nodes), checker-ball
     enumeration overflow, CEGIS iteration overflow, or encoding
     divergence. *)

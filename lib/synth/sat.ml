@@ -592,126 +592,236 @@ let simplify t =
 
 (* --- DRUP certification ---------------------------------------------------- *)
 
-(* An independent propagator over plain clause lists: no watches, no
-   sharing with the solver's state.  For each proof step, assume the
-   negation of the learned clause and propagate to a conflict using the
-   database accumulated so far (originals first, then earlier learned
-   clauses).  Work is counted in clause-literal visits against
-   [budget]. *)
-let certify_unsat ?(budget = 200_000_000) t =
-  if not t.unsat then Error "certify_unsat: last verdict was not UNSAT"
-  else begin
-    let db = ref (Array.of_list (List.rev t.originals)) in
-    let db_len = ref (Array.length !db) in
-    let steps = List.rev t.proof in
-    (* occurrence lists, extended as learned clauses are accepted *)
-    let nlits = 2 * max 1 t.nvars in
-    let occ = Array.make nlits [] in
-    let add_occ ci c = Array.iter (fun l -> occ.(l) <- ci :: occ.(l)) c in
-    Array.iteri add_occ !db;
-    let push_db c =
-      if !db_len >= Array.length !db then db := grow_arr !db (max 16 (2 * !db_len));
-      !db.(!db_len) <- c;
-      add_occ !db_len c;
-      incr db_len
-    in
-    (* epoch-stamped assignment: valid iff stamp = epoch *)
-    let stamp = Array.make (max 1 t.nvars) 0 in
-    let va = Array.make (max 1 t.nvars) 0 in
-    let epoch = ref 0 in
-    let work = ref 0 in
-    let lv l =
+(* A forward DRUP checker independent of the solver: it owns copies of
+   every clause, its own per-literal watch lists and its own
+   epoch-stamped assignment, and shares no mutable state with [t].
+   Units and the empty clause live apart from the watched database.
+   For each proof step, every variable starts unassigned (a new epoch);
+   the negation of the step and every unit are asserted and propagated
+   with two watched literals until a conflict or a fixpoint.  Starting
+   each check from the empty assignment keeps any two literals of a
+   clause valid watches between checks, so watches move lazily and are
+   never rebuilt.  Work is counted in watch visits plus literal scans
+   against [budget]. *)
+
+type drup = {
+  budget : int;
+  mutable work : int;
+  mutable db : int array array;  (* watched clauses, length >= 2 *)
+  mutable db_len : int;
+  dw_data : int array array;  (* per literal: clause indices watching it *)
+  dw_len : int array;
+  mutable units : int array;
+  mutable n_units : int;
+  mutable has_empty : bool;
+  stamp : int array;  (* per variable: assigned iff [stamp = epoch] *)
+  va : int array;
+  mutable epoch : int;
+  dtrail : int array;
+  mutable dtrail_len : int;
+  mark : int array;  (* per literal, for clause normalization *)
+  mutable mark_epoch : int;
+}
+
+exception Drup_conflict
+exception Drup_budget
+exception Drup_bad_literal of string
+
+let drup_tick d n =
+  d.work <- d.work + n;
+  if d.work > d.budget then raise Drup_budget
+
+let drup_value d l =
+  let v = l lsr 1 in
+  if d.stamp.(v) <> d.epoch then -1 else d.va.(v) lxor (l land 1)
+
+let drup_assign d l =
+  match drup_value d l with
+  | 1 -> ()
+  | 0 -> raise Drup_conflict
+  | _ ->
       let v = l lsr 1 in
-      if stamp.(v) <> !epoch then -1 else va.(v) lxor (l land 1)
-    in
-    let set_true l =
-      let v = l lsr 1 in
-      stamp.(v) <- !epoch;
-      va.(v) <- (l land 1) lxor 1
-    in
-    let exception Conflict in
-    let exception Out_of_budget in
-    (* Returns true iff propagation reaches a conflict. *)
-    let rup assumption =
-      incr epoch;
-      let queue = Queue.create () in
-      try
-        (* assume the negation of every literal of the step *)
-        Array.iter
-          (fun l ->
-            let nl = l lxor 1 in
-            match lv nl with
-            | 0 -> raise Conflict
-            | 1 -> ()
-            | _ ->
-                set_true nl;
-                Queue.push nl queue)
-          assumption;
-        (* seed with the database's unit (and empty) clauses *)
-        for ci = 0 to !db_len - 1 do
-          let c = !db.(ci) in
-          match Array.length c with
-          | 0 -> raise Conflict
-          | 1 -> (
-              incr work;
-              match lv c.(0) with
-              | 0 -> raise Conflict
-              | 1 -> ()
-              | _ ->
-                  set_true c.(0);
-                  Queue.push c.(0) queue)
-          | _ -> ()
+      d.stamp.(v) <- d.epoch;
+      d.va.(v) <- (l land 1) lxor 1;
+      d.dtrail.(d.dtrail_len) <- l;
+      d.dtrail_len <- d.dtrail_len + 1
+
+let drup_watch d lit ci =
+  let n = d.dw_len.(lit) in
+  if n >= Array.length d.dw_data.(lit) then
+    d.dw_data.(lit) <- grow_int d.dw_data.(lit) (max 4 (2 * n)) 0;
+  d.dw_data.(lit).(n) <- ci;
+  d.dw_len.(lit) <- n + 1
+
+(* A fresh internal-literal copy of a DIMACS clause with duplicates
+   merged; [None] for a tautology.  Rejects out-of-range literals. *)
+let drup_normalize d ~nvars c =
+  d.mark_epoch <- d.mark_epoch + 1;
+  let out = Array.make (Array.length c) 0 in
+  let n = ref 0 in
+  let taut = ref false in
+  Array.iter
+    (fun l ->
+      if l = 0 || abs l > nvars then
+        raise
+          (Drup_bad_literal (Printf.sprintf "literal %d out of range (nvars = %d)" l nvars));
+      let li = (2 * (abs l - 1)) lor if l < 0 then 1 else 0 in
+      if d.mark.(li lxor 1) = d.mark_epoch then taut := true
+      else if d.mark.(li) <> d.mark_epoch then begin
+        d.mark.(li) <- d.mark_epoch;
+        out.(!n) <- li;
+        incr n
+      end)
+    c;
+  if !taut then None else Some (Array.sub out 0 !n)
+
+let drup_add d c =
+  match Array.length c with
+  | 0 -> d.has_empty <- true
+  | 1 ->
+      if d.n_units >= Array.length d.units then
+        d.units <- grow_int d.units (max 16 (2 * d.n_units)) 0;
+      d.units.(d.n_units) <- c.(0);
+      d.n_units <- d.n_units + 1
+  | _ ->
+      if d.db_len >= Array.length d.db then d.db <- grow_arr d.db (max 16 (2 * d.db_len));
+      d.db.(d.db_len) <- c;
+      drup_watch d c.(0) d.db_len;
+      drup_watch d c.(1) d.db_len;
+      d.db_len <- d.db_len + 1
+
+(* Propagate the falsification of [fl] through its watch list. *)
+let drup_visit d fl =
+  let ws = d.dw_data.(fl) in
+  let n = d.dw_len.(fl) in
+  let i = ref 0 and j = ref 0 in
+  try
+    while !i < n do
+      let ci = ws.(!i) in
+      incr i;
+      drup_tick d 1;
+      let c = d.db.(ci) in
+      if c.(0) = fl then begin
+        c.(0) <- c.(1);
+        c.(1) <- fl
+      end;
+      if drup_value d c.(0) = 1 then begin
+        ws.(!j) <- ci;
+        incr j
+      end
+      else begin
+        let len = Array.length c in
+        let k = ref 2 in
+        while !k < len && drup_value d c.(!k) = 0 do
+          incr k
         done;
-        while not (Queue.is_empty queue) do
-          let l = Queue.pop queue in
-          let falsified = l lxor 1 in
-          List.iter
-            (fun ci ->
-              let c = !db.(ci) in
-              work := !work + Array.length c;
-              if !work > budget then raise Out_of_budget;
-              (* scan for satisfied / unassigned literals *)
-              let unassigned = ref (-1) in
-              let n_unassigned = ref 0 in
-              let satisfied = ref false in
-              Array.iter
-                (fun m ->
-                  if not !satisfied then
-                    match lv m with
-                    | 1 -> satisfied := true
-                    | -1 ->
-                        incr n_unassigned;
-                        unassigned := m
-                    | _ -> ())
-                c;
-              if not !satisfied then
-                if !n_unassigned = 0 then raise Conflict
-                else if !n_unassigned = 1 && lv !unassigned < 0 then begin
-                  set_true !unassigned;
-                  Queue.push !unassigned queue
-                end)
-            occ.(falsified)
-        done;
-        false
-      with
-      | Conflict -> true
-      | Out_of_budget -> raise Out_of_budget
-    in
-    try
-      let rec go i = function
-        | [] -> Error "certify_unsat: proof log is empty"
-        | [ last ] ->
-            if Array.length last <> 0 then
-              Error "certify_unsat: proof does not end with the empty clause"
-            else if rup last then Ok ()
-            else Error "certify_unsat: final conflict is not implied by unit propagation"
-        | c :: rest ->
-            if rup c then begin
-              push_db c;
-              go (i + 1) rest
+        drup_tick d (!k - 1);
+        if !k < len then begin
+          c.(1) <- c.(!k);
+          c.(!k) <- fl;
+          drup_watch d c.(1) ci
+        end
+        else begin
+          ws.(!j) <- ci;
+          incr j;
+          drup_assign d c.(0)
+        end
+      end
+    done;
+    d.dw_len.(fl) <- !j
+  with Drup_conflict ->
+    (* keep the unvisited tail of the watch list *)
+    while !i < n do
+      ws.(!j) <- ws.(!i);
+      incr i;
+      incr j
+    done;
+    d.dw_len.(fl) <- !j;
+    raise Drup_conflict
+
+(* Is [lemma] implied by the database under unit propagation? *)
+let drup_rup d lemma =
+  d.epoch <- d.epoch + 1;
+  d.dtrail_len <- 0;
+  try
+    if d.has_empty then raise Drup_conflict;
+    Array.iter (fun l -> drup_assign d (l lxor 1)) lemma;
+    drup_tick d d.n_units;
+    for i = 0 to d.n_units - 1 do
+      drup_assign d d.units.(i)
+    done;
+    let qhead = ref 0 in
+    while !qhead < d.dtrail_len do
+      let l = d.dtrail.(!qhead) in
+      incr qhead;
+      drup_visit d (l lxor 1)
+    done;
+    false
+  with Drup_conflict -> true
+
+let check_drup ?(budget = 200_000_000) ~nvars ~originals proof =
+  let nv = max 1 nvars in
+  let d =
+    {
+      budget;
+      work = 0;
+      db = [||];
+      db_len = 0;
+      dw_data = Array.make (2 * nv) [||];
+      dw_len = Array.make (2 * nv) 0;
+      units = [||];
+      n_units = 0;
+      has_empty = false;
+      stamp = Array.make nv 0;
+      va = Array.make nv 0;
+      epoch = 0;
+      dtrail = Array.make nv 0;
+      dtrail_len = 0;
+      mark = Array.make (2 * nv) 0;
+      mark_epoch = 0;
+    }
+  in
+  let n_steps = List.length proof in
+  let step = ref 0 in
+  let rec go = function
+    | [] -> Error "proof log is empty"
+    | [ last ] ->
+        if Array.length last <> 0 then Error "proof does not end with the empty clause"
+        else if drup_rup d [||] then Ok ()
+        else Error "final conflict is not implied by unit propagation"
+    | c :: rest -> (
+        match drup_normalize d ~nvars c with
+        | None ->
+            (* a tautology is RUP and adds nothing *)
+            incr step;
+            go rest
+        | Some c ->
+            if drup_rup d c then begin
+              drup_add d c;
+              incr step;
+              go rest
             end
-            else Error (Printf.sprintf "certify_unsat: proof step %d is not RUP" i)
-      in
-      go 0 steps
-    with Out_of_budget -> Error "certify_unsat: certification budget exceeded"
-  end
+            else Error (Printf.sprintf "proof step %d of %d is not RUP" !step n_steps))
+  in
+  match
+    List.iter (fun c -> Option.iter (drup_add d) (drup_normalize d ~nvars c)) originals;
+    go proof
+  with
+  | r -> r
+  | exception Drup_bad_literal msg -> Error msg
+  | exception Drup_budget ->
+      Error
+        (Printf.sprintf "budget of %d propagation steps exceeded at proof step %d of %d"
+           budget !step n_steps)
+
+let drup_log t =
+  let dimacs c = Array.map dimacs_of_lit c in
+  (List.rev_map dimacs t.originals, List.rev_map dimacs t.proof)
+
+let certify_unsat ?budget t =
+  if not t.unsat then Error "certify_unsat: last verdict was not UNSAT"
+  else
+    let originals, proof = drup_log t in
+    Result.map_error
+      (fun e -> "certify_unsat: " ^ e)
+      (check_drup ?budget ~nvars:t.nvars ~originals proof)

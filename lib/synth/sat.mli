@@ -14,9 +14,9 @@
     strengthens), which keeps the UNSAT story simple: every learned
     clause is recorded in derivation order, and {!certify_unsat}
     replays the whole log as a reverse-unit-propagation (DRUP) proof
-    against the original clauses with an independent counter-based
-    propagator — ending with the empty clause, i.e. a verified final
-    conflict under assumption-free solving. *)
+    against the original clauses with {!check_drup}, a checker that
+    shares no state with the solver — ending with the empty clause,
+    i.e. a verified final conflict under assumption-free solving. *)
 
 type t
 
@@ -64,14 +64,30 @@ val simplify : t -> [ `Unsat | `Fixed of int list ]
     level-0 propagation already conflicts.  Exposed so tests can check
     propagation equivalence against a naive reference propagator. *)
 
+val check_drup :
+  ?budget:int ->
+  nvars:int ->
+  originals:int array list ->
+  int array list ->
+  (unit, string) result
+(** [check_drup ~nvars ~originals proof] checks [proof] as a forward
+    DRUP refutation of [originals] (clauses of DIMACS literals over
+    variables [1..nvars]).  Each lemma, in order, must be implied by
+    unit propagation from the originals plus the earlier lemmas, and
+    the last lemma must be the empty clause.  The checker keeps its own
+    copies of the clauses, its own two-watched-literal lists and its
+    own assignment, so a solver bug cannot vouch for itself.  [budget]
+    caps the work, counted in watch-list visits plus literal scans
+    (default 200 million, a few seconds); exhausting it returns
+    [Error], never [Ok].  [Error] also on an out-of-range literal.  The
+    message names the failing proof step. *)
+
+val drup_log : t -> int array list * int array list
+(** The solver's certification logs as DIMACS clauses: every clause
+    passed to {!add_clause} (normalized, insertion order) and every
+    learned clause in derivation order, ending with the empty clause
+    after an [Unsat] verdict. *)
+
 val certify_unsat : ?budget:int -> t -> (unit, string) result
-(** After an [Unsat] verdict: replay the learned-clause log as a DRUP
-    proof.  Each learned clause in derivation order — and finally the
-    empty clause — must be derivable by unit propagation from the
-    original clauses plus the earlier learned clauses, checked with an
-    independent (non-watched, counter-based) propagator.  The replay
-    is quadratic in proof x database, so it is practical for proofs up
-    to a few thousand clauses and hopeless around 10^5.  [budget] caps
-    total clause-literal visits (default 200 million, a few seconds of
-    replay — sized so the pinned {!Classify} probe rungs certify with
-    ~2x headroom); exceeding it returns [Error], never a false [Ok]. *)
+(** After an [Unsat] verdict: {!check_drup} over {!drup_log}.  [Error]
+    when the last verdict was not [Unsat]. *)
