@@ -397,10 +397,9 @@ let run_ir_micro () =
         origins
     in
     let k = float_of_int (Array.length origins) in
-    (* Min-of-3 per side (the [measure_obs_overhead] pattern): the min of
-       repeated >= 50ms windows discards GC pauses and scheduler
-       interference, which otherwise wobble the gated ratio by +-15% on a
-       busy host. *)
+    (* Min-of-3 per side: the min of repeated >= 50ms windows discards GC
+       pauses and scheduler interference, which otherwise wobble the gated
+       ratio by +-15% on a busy host. *)
     let min3 f = Float.min (time_ns f) (Float.min (time_ns f) (time_ns f)) in
     {
       i_name = name;
@@ -680,23 +679,34 @@ let rewarm_json r =
 
 type obs_overhead = {
   oo_workload : string;
-  oo_baseline_ns : float;
-  oo_disabled_ns : float;
+  oo_baseline_ns : float;  (** median over the pairs *)
+  oo_disabled_ns : float;  (** median over the pairs *)
   oo_enabled_ns : float;
+  oo_ratio : float;  (** median of the per-pair disabled/baseline ratios *)
 }
 
 let obs_gate = 1.05
 
-let obs_ok o = o.oo_disabled_ns <= (obs_gate *. o.oo_baseline_ns)
+let obs_pairs = 9
+
+let obs_ok o = o.oo_ratio <= obs_gate
+
+let median xs =
+  let a = Array.copy xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
 
 (* The metrics counters compile into every hot path, so a literally
    uninstrumented binary no longer exists to time against.  What the 5%
    gate asserts instead is that the *disabled* path is free: baseline and
-   disabled interleave min-of-3 timings of the identical machine code
-   (collection off), so a gap above noise would mean the enabled-flag
-   branch is not the whole disabled-path cost.  The enabled timing rides
-   along for the report and also populates the counters behind the JSON
-   [metrics] section. *)
+   disabled time the identical machine code (collection off), so a gap
+   above noise would mean the enabled-flag branch is not the whole
+   disabled-path cost.  The two sides are timed in back-to-back pairs
+   whose order alternates, and the gate reads the median of the per-pair
+   ratios: drift on a shared host moves both halves of a pair together,
+   and no side always runs first.  The enabled timing rides along for the
+   report and also populates the counters behind the JSON [metrics]
+   section. *)
 let measure_obs_overhead () =
   let n = 65536 in
   let g = Builder.cycle n in
@@ -707,27 +717,34 @@ let measure_obs_overhead () =
   in
   let prev = Metrics.enabled () in
   Metrics.set_enabled false;
-  let baseline = ref infinity and disabled = ref infinity and enabled = ref infinity in
-  for _ = 1 to 3 do
-    baseline := Float.min !baseline (time_ns workload);
-    disabled := Float.min !disabled (time_ns workload);
-    Metrics.set_enabled true;
-    enabled := Float.min !enabled (time_ns workload);
-    Metrics.set_enabled false
+  let baseline = Array.make obs_pairs 0.0 and disabled = Array.make obs_pairs 0.0 in
+  for i = 0 to obs_pairs - 1 do
+    if i mod 2 = 0 then begin
+      baseline.(i) <- time_ns workload;
+      disabled.(i) <- time_ns workload
+    end
+    else begin
+      disabled.(i) <- time_ns workload;
+      baseline.(i) <- time_ns workload
+    end
   done;
+  Metrics.set_enabled true;
+  let enabled = Float.min (time_ns workload) (Float.min (time_ns workload) (time_ns workload)) in
   Metrics.set_enabled prev;
   {
     oo_workload = Printf.sprintf "world-session/cycle-coloring-%d" n;
-    oo_baseline_ns = !baseline;
-    oo_disabled_ns = !disabled;
-    oo_enabled_ns = !enabled;
+    oo_baseline_ns = median baseline;
+    oo_disabled_ns = median disabled;
+    oo_enabled_ns = enabled;
+    oo_ratio = median (Array.init obs_pairs (fun i -> disabled.(i) /. baseline.(i)));
   }
 
 let pp_obs o =
   Fmt.pr "@.== Instrumentation overhead (metrics disabled must be within %.0f%%) ==@."
     ((obs_gate -. 1.0) *. 100.0);
-  Fmt.pr "  %-38s baseline %8.0f ns/run   disabled %8.0f ns/run   enabled %8.0f ns/run   [%s]@."
-    o.oo_workload o.oo_baseline_ns o.oo_disabled_ns o.oo_enabled_ns
+  Fmt.pr
+    "  %-38s baseline %8.0f ns/run   disabled %8.0f ns/run   enabled %8.0f ns/run   ratio %.3f (median of %d pairs)   [%s]@."
+    o.oo_workload o.oo_baseline_ns o.oo_disabled_ns o.oo_enabled_ns o.oo_ratio obs_pairs
     (if obs_ok o then "ok" else "FAIL")
 
 (* --- SAT-synthesis cost rows -------------------------------------------------- *)
@@ -850,6 +867,8 @@ let obs_json o =
       ("baseline_ns", Json.Float o.oo_baseline_ns);
       ("disabled_ns", Json.Float o.oo_disabled_ns);
       ("enabled_ns", Json.Float o.oo_enabled_ns);
+      ("ratio", Json.Float o.oo_ratio);
+      ("pairs", Json.Int obs_pairs);
       ("gate", Json.Float obs_gate);
       ("ok", Json.Bool (obs_ok o));
     ]

@@ -78,7 +78,8 @@ val truncate : 'i ctx -> 'a
 val volume : 'i ctx -> int
 val queries : 'i ctx -> int
 val visited_nodes : 'i ctx -> Vc_graph.Graph.node list
-(** In order of first visit; head is the origin. *)
+(** In order of first visit; head is the origin.  Builds a fresh list on
+    every call, O(volume). *)
 
 (** {1 Running executions} *)
 
@@ -100,7 +101,8 @@ val run :
   ('i ctx -> 'o) ->
   'o result
 (** Execute the algorithm from [origin].  When [randomness] is absent the
-    execution is deterministic and {!rand_bit} raises.
+    execution is deterministic and {!rand_bit} raises.  The context is
+    valid only while the algorithm runs.
 
     When [trace] is given, every world interaction is emitted to the sink
     in execution order as one {!Vc_obs.Trace.event} session: a
