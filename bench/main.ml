@@ -383,7 +383,7 @@ let ir_speedup r = r.i_closure_ns /. r.i_batched_ns
    O(log* n) queries per origin, so the closure path is dominated by
    per-origin session setup, closure dispatch and allocation — the
    allocation-free executor must clear 10x.  Both sides run the
-   registry-checked oracle pairs (probe 8 proves them result-identical),
+   registry-checked oracle pairs (oracle probe [ir] proves them result-identical),
    so this is a pure same-answer throughput comparison: one
    [run_batch_into] over a sink versus one [Probe.run] per origin. *)
 let run_ir_micro () =
@@ -540,7 +540,7 @@ let snap_ok rows = List.for_all (fun r -> snap_speedup r >= snap_gate) rows
 (* The perf evidence for the snapshot tier: warming a session from the
    store must beat building the instance from scratch by >= 10x on the
    two largest ladder sizes of each benched problem.  Both paths go
-   through the same [Registry.make] entry point (oracle probe 10 proves
+   through the same [Registry.make] entry point (oracle probe [snap] proves
    them byte-identical), so this is a pure same-answer cost comparison:
    graph construction + labelling versus one [Unix.map_file] plus a
    header checksum — the load side is O(1) in the instance, which is

@@ -84,6 +84,14 @@ let contains hay needle =
   in
   go 0
 
+(* The registry entries whose name and family contain the filters. *)
+let select_entries ~only ~family =
+  List.filter
+    (fun (e : Vc_check.Registry.entry) ->
+      (match only with None -> true | Some f -> contains e.name f)
+      && match family with None -> true | Some f -> contains e.family f)
+    (Vc_check.Registry.all ())
+
 let family_term =
   Arg.(
     value & opt (some string) None
@@ -425,106 +433,79 @@ let check_cmd =
       & info [ "only" ] ~docv:"SUBSTR"
           ~doc:"Only check problems whose name contains $(docv) (case-insensitive).")
   in
+  (* the library's probes, then the serving layer's (the shard probe
+     spawns a 4-worker tier of this very binary), then the synthesizer's *)
+  let oracle_probes =
+    Vc_check.Oracle.builtin
+    @ Vc_serve.Conform.probes ~exe:Sys.executable_name ~workers:4
+    @ [ Vc_synth.Classify.oracle_probe ]
+  in
   let probes =
     Arg.(
       value & opt (some string) None
       & info [ "probes" ] ~docv:"LIST"
           ~doc:
-            "Comma-separated oracle probes to run (of: solvers, merge, cross, lazy, ir, \
-             mutate, replay, serve, shard, snap, synth); default all.  Skipped probes are \
-             listed in the report and keep vacuous verdicts.")
+            (Fmt.str
+               "Comma-separated oracle probes to run (of: %s); default all.  Skipped probes \
+                are listed in the report and read null."
+               (String.concat ", " (Vc_check.Oracle.names oracle_probes))))
   in
   let run seed count quick json only family probes metrics jobs =
-    let entries =
-      List.filter
-        (fun (e : Vc_check.Registry.entry) ->
-          (match only with None -> true | Some f -> contains e.name f)
-          && match family with None -> true | Some f -> contains e.family f)
-        (Vc_check.Registry.all ())
-    in
-    let probe_list =
+    let entries = select_entries ~only ~family in
+    let only_probes =
       Option.map
         (fun s ->
-          List.filter
-            (fun p -> p <> "")
-            (List.map (fun p -> String.lowercase_ascii (String.trim p))
-               (String.split_on_char ',' s)))
+          List.filter (fun p -> p <> "") (List.map String.trim (String.split_on_char ',' s)))
         probes
-    in
-    let bad_probe =
-      Option.bind probe_list
-        (List.find_opt (fun p -> not (List.mem p Vc_check.Oracle.probe_names)))
     in
     if entries = [] then begin
       Fmt.epr "check: no problem matches the filter@.";
       2
     end
-    else if bad_probe <> None then begin
-      Fmt.epr "check: unknown probe %S (known: %s)@." (Option.get bad_probe)
-        (String.concat ", " Vc_check.Oracle.probe_names);
-      2
-    end
-    else begin
+    else
       let seed64 = Int64.of_int seed in
-      (* when the serve probe is filtered out, don't even build the
-         serving-layer closure — `--probes` is how CI skips the daemon
-         round-trip on problem-focused runs *)
-      let serve =
-        match probe_list with
-        | Some ps when not (List.mem "serve" ps) -> None
-        | _ -> Some Vc_serve.Conform.probe
-      in
-      (* probe 9 spawns a real 4-worker tier of this very binary *)
-      let shard =
-        match probe_list with
-        | Some ps when not (List.mem "shard" ps) -> None
-        | _ -> Some (Vc_serve.Conform.shard_probe ~exe:Sys.executable_name ~workers:4)
-      in
-      (* probe 11 re-derives Table-1 verdicts with the SAT synthesizer;
-         the synthesis layer sits above lib/check, so it is injected *)
-      let synth =
-        match probe_list with
-        | Some ps when not (List.mem "synth" ps) -> None
-        | _ ->
-            Some
-              (fun (e : Vc_check.Registry.entry) ->
-                Vc_synth.Classify.oracle_probe ~registry_name:e.name)
-      in
       with_metrics metrics @@ fun () ->
-      let report =
+      match
         with_jobs jobs (fun pool ->
-            Vc_check.Oracle.run ?pool ~entries ?probes:probe_list ?serve ?shard ?synth
-              ~seed:seed64 ~count ~quick ())
-      in
-      Fmt.pr "%a@." Vc_check.Report.pp report;
-      Option.iter (fun path -> Vc_check.Report.write_json report ~path) json;
-      if Vc_check.Report.ok report then 0
-      else begin
-        (* the seed is everything needed to reproduce the failure; the
-           reference transcript makes the failing trial replayable offline *)
-        Fmt.epr "reproduce with: volcomp check --seed %d --count %d%s@." seed count
-          (if quick then " --quick" else "");
-        List.iter
-          (fun (p : Vc_check.Report.problem_report) ->
-            if p.p_failures <> [] then begin
-              let slug =
-                String.map
-                  (fun c ->
-                    match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> c | _ -> '-')
-                  (String.lowercase_ascii p.p_name)
-              in
-              let path = Fmt.str "check-failure-%s.trace.jsonl" slug in
-              match
-                Vc_check.Oracle.record_trace ~entries ~seed:seed64 ~quick ~problem:p.p_name
-                  ~origin:0 ~path ()
-              with
-              | Ok () -> Fmt.epr "wrote reference transcript %s (volcomp trace --replay)@." path
-              | Error msg -> Fmt.epr "could not record transcript for %s: %s@." p.p_name msg
-            end)
-          report.Vc_check.Report.problems;
-        1
-      end
-    end
+            match
+              Vc_check.Oracle.run ?pool ~entries ~probes:oracle_probes ?only:only_probes
+                ~seed:seed64 ~count ~quick ()
+            with
+            | report -> Ok report
+            | exception Invalid_argument msg -> Error msg)
+      with
+      | Error msg ->
+          Fmt.epr "check: %s@." msg;
+          2
+      | Ok report ->
+        Fmt.pr "%a@." Vc_check.Report.pp report;
+        Option.iter (fun path -> Vc_check.Report.write_json report ~path) json;
+        if Vc_check.Report.ok report then 0
+        else begin
+          (* the seed is everything needed to reproduce the failure; the
+             reference transcript makes the failing trial replayable offline *)
+          Fmt.epr "reproduce with: volcomp check --seed %d --count %d%s@." seed count
+            (if quick then " --quick" else "");
+          List.iter
+            (fun (p : Vc_check.Report.problem_report) ->
+              if p.p_failures <> [] then begin
+                let slug =
+                  String.map
+                    (fun c ->
+                      match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> c | _ -> '-')
+                    (String.lowercase_ascii p.p_name)
+                in
+                let path = Fmt.str "check-failure-%s.trace.jsonl" slug in
+                match
+                  Vc_check.Oracle.record_trace ~entries ~seed:seed64 ~quick ~problem:p.p_name
+                    ~origin:0 ~path ()
+                with
+                | Ok () -> Fmt.epr "wrote reference transcript %s (volcomp trace --replay)@." path
+                | Error msg -> Fmt.epr "could not record transcript for %s: %s@." p.p_name msg
+              end)
+            report.Vc_check.Report.problems;
+          1
+        end
   in
   Cmd.v
     (Cmd.info "check"
@@ -973,13 +954,7 @@ let snap_cmd =
     let store = Vc_check.Registry.store ~dir in
     match action with
     | `Build ->
-        let entries =
-          List.filter
-            (fun (e : Vc_check.Registry.entry) ->
-              (match only with None -> true | Some f -> contains e.name f)
-              && match family with None -> true | Some f -> contains e.family f)
-            (Vc_check.Registry.all ())
-        in
+        let entries = select_entries ~only ~family in
         if entries = [] then begin
           Fmt.epr "snap build: no problem matches the filter@.";
           2

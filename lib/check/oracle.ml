@@ -7,16 +7,150 @@ module Pool = Vc_exec.Pool
 let trial_seed ~seed ~name i =
   Splitmix.mix (Int64.add seed (Int64.of_int ((Hashtbl.hash name * 1000003) + i)))
 
-(* The probes a run can be restricted to, in execution-report order. *)
-let probe_names =
+type ctx = {
+  entry : Registry.entry;
+  size : int;
+  seed : int64;
+  trial : Registry.trial;
+  pool : Pool.t option;
+}
+
+type probe = {
+  name : string;
+  first_trial_only : bool;
+  run : ctx -> (unit, string) result option;
+}
+
+let ( let* ) = Result.bind
+
+(* A trial whose instance came back from the snapshot store must
+   reproduce the freshly built trial's solver outcomes, per-origin probe
+   summaries and recorded trace transcript exactly. *)
+let snap_identity c =
+  let e = c.entry and a = c.trial in
+  let dir = Filename.temp_file "vc-snap" "" in
+  Sys.remove dir;
+  let store = Registry.store ~dir in
+  let cleanup () =
+    List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) (Registry.Store.files store);
+    try Unix.rmdir dir with Unix.Unix_error _ -> ()
+  in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  let check cond fmt = Fmt.kstr (fun msg -> if cond then Ok () else Error msg) fmt in
+  (* populate the store (publish-on-miss), then hit it *)
+  let warm_n = e.acquire ~store ~size:c.size ~seed:c.seed () in
+  let b = e.make ~store ~size:c.size ~seed:c.seed () in
+  let* () =
+    check (warm_n = a.Registry.t_n) "acquire saw %d nodes, build saw %d" warm_n a.Registry.t_n
+  in
+  let* () =
+    check (b.Registry.t_source = `Snapshot) "store hit did not mark the trial as snapshot-loaded"
+  in
+  let* () =
+    check (b.Registry.t_n = a.Registry.t_n) "node counts differ: built %d, snapshot %d"
+      a.Registry.t_n b.Registry.t_n
+  in
+  let* () =
+    check
+      (a.Registry.run_solvers ?pool:c.pool () = b.Registry.run_solvers ?pool:c.pool ())
+      "solver outcomes differ between built and snapshot-loaded"
+  in
+  let origins =
+    List.sort_uniq compare [ 0; a.Registry.t_n / 2; a.Registry.t_n - 1 ]
+    |> List.filter (fun o -> o >= 0 && o < a.Registry.t_n)
+  in
+  let* () =
+    List.fold_left
+      (fun acc origin ->
+        let* () = acc in
+        check
+          (a.Registry.probe_origin ~origin () = b.Registry.probe_origin ~origin ())
+          "probe summaries differ at origin %d" origin)
+      (Ok ()) origins
+  in
+  let trace_of (t : Registry.trial) suffix =
+    let path = Filename.temp_file "vc-snap-trace" suffix in
+    Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
+    match t.Registry.trace_record ~path ~header:Vc_obs.Json.Null ~origin:0 with
+    | Ok () -> In_channel.with_open_bin path In_channel.input_all
+    | Error msg -> Fmt.str "trace-error: %s" msg
+  in
+  check (trace_of a ".a" = trace_of b ".b") "trace transcripts differ from origin 0"
+
+let builtin =
   [
-    "solvers"; "merge"; "cross"; "lazy"; "ir"; "mutate"; "replay"; "serve"; "shard"; "snap";
-    "synth";
+    (* the reference solver's Runner stats must not depend on the pool
+       width *)
+    {
+      name = "merge";
+      first_trial_only = true;
+      run = (fun c -> Some (c.trial.Registry.merge_consistency ~widths:[ 1; 2; 4 ]));
+    };
+    (* alternative-model executions (CONGEST protocols) *)
+    {
+      name = "cross";
+      first_trial_only = false;
+      run =
+        (fun c ->
+          match c.trial.Registry.cross_model with
+          | [] -> None
+          | models ->
+              Some
+                (List.fold_left
+                   (fun acc (model, f) ->
+                     let* () = acc in
+                     Result.map_error (Fmt.str "%s: %s" model) (f ()))
+                   (Ok ()) models));
+    };
+    (* lazy vs. eager world identity *)
+    {
+      name = "lazy";
+      first_trial_only = false;
+      run = (fun c -> Some (c.trial.Registry.lazy_vs_eager ()));
+    };
+    (* IR port vs. reference closure, on entries that carry an IR port *)
+    {
+      name = "ir";
+      first_trial_only = false;
+      run = (fun c -> Option.map (fun f -> f ()) c.trial.Registry.ir_vs_closure);
+    };
+    (* record -> JSON round-trip -> replay *)
+    {
+      name = "replay";
+      first_trial_only = false;
+      run = (fun c -> Some (c.trial.Registry.trace_roundtrip ()));
+    };
+    { name = "snap"; first_trial_only = false; run = (fun c -> Some (snap_identity c)) };
   ]
 
-let run_entry ?pool ?serve ?shard ?synth ~want ~seed ~count ~quick (e : Registry.entry) =
+let names probes = "solvers" :: "mutate" :: List.map (fun p -> p.name) probes
+
+(* Every failure of [p] on [c] is reported in the same two shapes; the
+   verdict folds [None] (does not apply) away. *)
+let run_probe ~fail ctxs p =
+  let ctxs = if p.first_trial_only then List.filteri (fun i _ -> i = 0) ctxs else ctxs in
+  List.fold_left
+    (fun verdict c ->
+      let passed =
+        match p.run c with
+        | None -> None
+        | Some (Ok ()) -> Some true
+        | Some (Error msg) ->
+            fail (Fmt.str "%s at size %d: %s" p.name c.size msg);
+            Some false
+        | exception exn ->
+            fail (Fmt.str "%s at size %d raised %s" p.name c.size (Printexc.to_string exn));
+            Some false
+      in
+      match (verdict, passed) with
+      | Some a, Some b -> Some (a && b)
+      | v, None | None, v -> v)
+    None ctxs
+
+let run_entry ?pool ~probes ~want ~seed ~count ~quick (e : Registry.entry) =
   let failures = ref [] in
-  let fail fmt = Fmt.kstr (fun s -> failures := s :: !failures) fmt in
+  let push s = failures := s :: !failures in
+  let fail fmt = Fmt.kstr push fmt in
   let guarded what f default =
     try f () with
     | exn ->
@@ -24,31 +158,35 @@ let run_entry ?pool ?serve ?shard ?synth ~want ~seed ~count ~quick (e : Registry
         default
   in
   let sizes = if quick then e.quick_sizes else e.sizes in
-  let trials =
-    List.mapi (fun i size -> (size, e.make ~size ~seed:(trial_seed ~seed ~name:e.name i) ())) sizes
+  let ctxs =
+    List.mapi
+      (fun i size ->
+        let seed = trial_seed ~seed ~name:e.name i in
+        { entry = e; size; seed; trial = e.make ~size ~seed (); pool })
+      sizes
   in
-  (* probe 1: differential solving + cost envelope *)
+  (* data phase "solvers": differential solving + cost envelope *)
   let all_outcomes =
     List.map
-      (fun (size, t) ->
-        ( size,
-          t,
+      (fun c ->
+        ( c,
           if not (want "solvers") then []
           else
             guarded
-              (Fmt.str "solvers at size %d" size)
-              (fun () -> t.Registry.run_solvers ?pool ())
+              (Fmt.str "solvers at size %d" c.size)
+              (fun () -> c.trial.Registry.run_solvers ?pool ())
               [] ))
-      trials
+      ctxs
   in
   List.iter
-    (fun (size, t, outcomes) ->
+    (fun (c, outcomes) ->
+      let size = c.size and n = c.trial.Registry.t_n in
       List.iter
         (fun (o : Registry.solver_outcome) ->
           let st = o.stats in
           if not o.valid then fail "%s: invalid output at size %d" o.solver size;
-          if st.Runner.runs <> t.Registry.t_n then
-            fail "%s: ran %d of %d nodes at size %d" o.solver st.Runner.runs t.Registry.t_n size;
+          if st.Runner.runs <> n then
+            fail "%s: ran %d of %d nodes at size %d" o.solver st.Runner.runs n size;
           if st.Runner.aborted > 0 then
             fail "%s: %d aborted runs at size %d" o.solver st.Runner.aborted size;
           if st.Runner.max_volume < st.Runner.max_distance then
@@ -64,11 +202,11 @@ let run_entry ?pool ?serve ?shard ?synth ~want ~seed ~count ~quick (e : Registry
   let solver_aggs =
     match all_outcomes with
     | [] -> []
-    | (_, _, first) :: _ ->
+    | (_, first) :: _ ->
         List.map
           (fun (o0 : Registry.solver_outcome) ->
             List.fold_left
-              (fun agg (_, _, os) ->
+              (fun agg (_, os) ->
                 match
                   List.find_opt (fun (o : Registry.solver_outcome) -> o.solver = o0.solver) os
                 with
@@ -94,270 +232,12 @@ let run_entry ?pool ?serve ?shard ?synth ~want ~seed ~count ~quick (e : Registry
               all_outcomes)
           first
   in
-  (* probe 2: merge consistency, on the first (smallest) trial only *)
-  let merge_consistent =
-    match trials with
-    | _ when not (want "merge") -> true
-    | [] -> true
-    | (_, t) :: _ ->
-        guarded "merge consistency"
-          (fun () ->
-            match t.Registry.merge_consistency ~widths:[ 1; 2; 4 ] with
-            | Ok () -> true
-            | Error msg ->
-                fail "merge: %s" msg;
-                false)
-          false
-  in
-  (* probe 3: cross-model executions, on every trial *)
-  let cross_model =
-    let names =
-      match trials with
-      | _ when not (want "cross") -> []
-      | [] -> []
-      | (_, t) :: _ -> List.map fst t.Registry.cross_model
-    in
+  let verdicts =
     List.map
-      (fun name ->
-        let passed =
-          List.fold_left
-            (fun acc (size, t) ->
-              match List.assoc_opt name t.Registry.cross_model with
-              | None -> acc
-              | Some f ->
-                  guarded
-                    (Fmt.str "cross-model %s at size %d" name size)
-                    (fun () ->
-                      match f () with
-                      | Ok () -> acc
-                      | Error msg ->
-                          fail "cross-model %s at size %d: %s" name size msg;
-                          false)
-                    false)
-            true trials
-        in
-        (name, passed))
-      names
+      (fun p -> (p.name, if want p.name then run_probe ~fail:push ctxs p else None))
+      probes
   in
-  (* probe 5: lazy vs. eager world identity, on every trial *)
-  let lazy_eager =
-    (not (want "lazy"))
-    || List.fold_left
-         (fun acc (size, t) ->
-           let ok =
-             guarded
-               (Fmt.str "lazy/eager at size %d" size)
-               (fun () ->
-                 match t.Registry.lazy_vs_eager () with
-                 | Ok () -> true
-                 | Error msg ->
-                     fail "lazy/eager at size %d: %s" size msg;
-                     false)
-               false
-           in
-           acc && ok)
-         true trials
-  in
-  (* probe 8: IR vs. closure differential, on every trial of entries
-     that carry an IR port *)
-  let ir_ok =
-    if not (want "ir") then None
-    else
-      List.fold_left
-        (fun acc (size, t) ->
-          match t.Registry.ir_vs_closure with
-          | None -> acc
-          | Some probe ->
-              let ok =
-                guarded
-                  (Fmt.str "ir at size %d" size)
-                  (fun () ->
-                    match probe () with
-                    | Ok () -> true
-                    | Error msg ->
-                        fail "ir at size %d: %s" size msg;
-                        false)
-                  false
-              in
-              Some (Option.value acc ~default:true && ok))
-        None trials
-  in
-  (* probe 6: record -> JSON round-trip -> replay, on every trial *)
-  let replay =
-    (not (want "replay"))
-    || List.fold_left
-         (fun acc (size, t) ->
-           let ok =
-             guarded
-               (Fmt.str "record/replay at size %d" size)
-               (fun () ->
-                 match t.Registry.trace_roundtrip () with
-                 | Ok () -> true
-                 | Error msg ->
-                     fail "replay at size %d: %s" size msg;
-                     false)
-               false
-           in
-           acc && ok)
-         true trials
-  in
-  (* probe 7: serving-layer round-trip identity, on every trial (the
-     closure comes from above — lib/serve depends on this library) *)
-  let serve_ok =
-    match serve with
-    | Some _ when not (want "serve") -> None
-    | None -> None
-    | Some f ->
-        Some
-          (List.fold_left
-             (fun acc (i, size) ->
-               let ok =
-                 guarded
-                   (Fmt.str "serve at size %d" size)
-                   (fun () ->
-                     match f e ~size ~seed:(trial_seed ~seed ~name:e.name i) with
-                     | Ok () -> true
-                     | Error msg ->
-                         fail "serve at size %d: %s" size msg;
-                         false)
-                   false
-               in
-               acc && ok)
-             true
-             (List.mapi (fun i s -> (i, s)) sizes))
-  in
-  (* probe 9: sharded-tier byte identity, on the first (smallest) trial
-     only — it spawns a whole supervisor + workers per invocation *)
-  let shard_ok =
-    match shard with
-    | Some _ when not (want "shard") -> None
-    | None -> None
-    | Some f -> (
-        match sizes with
-        | [] -> None
-        | size :: _ ->
-            Some
-              (guarded
-                 (Fmt.str "shard at size %d" size)
-                 (fun () ->
-                   match f e ~size ~seed:(trial_seed ~seed ~name:e.name 0) with
-                   | Ok () -> true
-                   | Error msg ->
-                       fail "shard at size %d: %s" size msg;
-                       false)
-                 false))
-  in
-  (* probe 10: snapshot byte-identity — a trial whose instance came back
-     from the snapshot store must reproduce the freshly built trial's
-     solver outcomes, per-origin probe cost vectors and recorded trace
-     transcripts exactly, on every trial of the entry *)
-  let snap_ok =
-    if not (want "snap") then None
-    else
-      Some
-        (List.fold_left
-           (fun acc (i, size) ->
-             let ts = trial_seed ~seed ~name:e.name i in
-             let ok =
-               guarded
-                 (Fmt.str "snap at size %d" size)
-                 (fun () ->
-                   let dir = Filename.temp_file "vc-snap" "" in
-                   Sys.remove dir;
-                   let store = Registry.store ~dir in
-                   let cleanup () =
-                     List.iter
-                       (fun f -> try Sys.remove f with Sys_error _ -> ())
-                       (Registry.Store.files store);
-                     try Unix.rmdir dir with Unix.Unix_error _ -> ()
-                   in
-                   Fun.protect ~finally:cleanup (fun () ->
-                       let a = e.make ~size ~seed:ts () in
-                       (* populate the store (publish-on-miss), then hit it *)
-                       let warm_n = e.acquire ~store ~size ~seed:ts () in
-                       let b = e.make ~store ~size ~seed:ts () in
-                       let ok = ref true in
-                       let check cond fmt =
-                         Fmt.kstr
-                           (fun msg ->
-                             if not cond then begin
-                               ok := false;
-                               fail "snap at size %d: %s" size msg
-                             end)
-                           fmt
-                       in
-                       check (warm_n = a.Registry.t_n) "acquire saw %d nodes, build saw %d"
-                         warm_n a.Registry.t_n;
-                       check
-                         (b.Registry.t_source = `Snapshot)
-                         "store hit did not mark the trial as snapshot-loaded";
-                       check
-                         (b.Registry.t_n = a.Registry.t_n)
-                         "node counts differ: built %d, snapshot %d" a.Registry.t_n
-                         b.Registry.t_n;
-                       check
-                         (a.Registry.run_solvers ?pool () = b.Registry.run_solvers ?pool ())
-                         "solver outcomes differ between built and snapshot-loaded";
-                       let origins =
-                         List.sort_uniq compare [ 0; a.Registry.t_n / 2; a.Registry.t_n - 1 ]
-                         |> List.filter (fun o -> o >= 0 && o < a.Registry.t_n)
-                       in
-                       List.iter
-                         (fun origin ->
-                           check
-                             (a.Registry.probe_origin ~origin ()
-                             = b.Registry.probe_origin ~origin ())
-                             "probe summaries differ at origin %d" origin)
-                         origins;
-                       let trace_of (t : Registry.trial) suffix =
-                         let path = Filename.temp_file "vc-snap-trace" suffix in
-                         Fun.protect
-                           ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-                           (fun () ->
-                             match
-                               t.Registry.trace_record ~path ~header:Vc_obs.Json.Null
-                                 ~origin:0
-                             with
-                             | Ok () ->
-                                 let ic = open_in_bin path in
-                                 Fun.protect
-                                   ~finally:(fun () -> close_in_noerr ic)
-                                   (fun () ->
-                                     really_input_string ic (in_channel_length ic))
-                             | Error msg -> Fmt.str "trace-error: %s" msg)
-                       in
-                       check
-                         (trace_of a ".a" = trace_of b ".b")
-                         "trace transcripts differ from origin 0";
-                       !ok))
-                 false
-             in
-             acc && ok)
-           true
-           (List.mapi (fun i s -> (i, s)) sizes))
-  in
-  (* probe 11: synthesis cross-check — for entries with a synthesis
-     universe the injected closure must re-derive the Table-1 verdicts:
-     a witness at the known-feasible volume (independently rechecked),
-     a certified UNSAT below it, and consistency with the live
-     adversary bound.  Injected from above because [lib/synth] depends
-     on this library. *)
-  let synth_ok =
-    match synth with
-    | Some _ when not (want "synth") -> None
-    | None -> None
-    | Some f ->
-        guarded "synth"
-          (fun () ->
-            match f e with
-            | None -> None
-            | Some (Ok ()) -> Some true
-            | Some (Error msg) ->
-                fail "synth: %s" msg;
-                Some false)
-          (Some false)
-  in
-  (* probe 4: mutation fuzzing, [count] rounds round-robin over trials *)
+  (* data phase "mutate": [count] fuzzing rounds round-robin over trials *)
   let kind_order = ref [] in
   let kinds : (string, Report.kind_agg) Hashtbl.t = Hashtbl.create 8 in
   let record (o : Mutate.outcome) =
@@ -377,10 +257,10 @@ let run_entry ?pool ?serve ?shard ?synth ~want ~seed ~count ~quick (e : Registry
           (agg.Report.k_out_of_radius + if o.rejected && not o.in_radius then 1 else 0);
       }
   in
-  let ntrials = List.length trials in
+  let ntrials = List.length ctxs in
   if ntrials > 0 && want "mutate" then
     for i = 0 to count - 1 do
-      let _, t = List.nth trials (i mod ntrials) in
+      let t = (List.nth ctxs (i mod ntrials)).trial in
       let rng =
         Splitmix.create
           (Splitmix.mix (Int64.add (trial_seed ~seed ~name:e.name (-1)) (Int64.of_int i)))
@@ -399,41 +279,32 @@ let run_entry ?pool ?serve ?shard ?synth ~want ~seed ~count ~quick (e : Registry
   {
     Report.p_name = e.name;
     p_radius = e.radius;
-    p_instances = List.length trials;
+    p_instances = ntrials;
     p_solvers = solver_aggs;
-    p_merge_consistent = merge_consistent;
-    p_cross_model = cross_model;
-    p_lazy_eager = lazy_eager;
-    p_ir = ir_ok;
-    p_replay = replay;
-    p_serve = serve_ok;
-    p_shard = shard_ok;
-    p_snap = snap_ok;
-    p_synth = synth_ok;
+    p_verdicts = verdicts;
     p_mutations = List.rev_map (Hashtbl.find kinds) !kind_order;
-    p_probes_skipped = List.filter (fun p -> not (want p)) probe_names;
+    p_probes_skipped = List.filter (fun p -> not (want p)) (names probes);
     p_failures = List.rev !failures;
   }
 
-let run ?pool ?entries ?probes ?serve ?shard ?synth ~seed ~count ~quick () =
-  let entries = match entries with Some es -> es | None -> Registry.all () in
+
+let run ?pool ?entries ?(probes = builtin) ?only ~seed ~count ~quick () =
+  let known = names probes in
+  let reject fmt =
+    Fmt.kstr (fun s -> invalid_arg (Fmt.str "%s (known: %s)" s (String.concat ", " known))) fmt
+  in
   let want =
-    match probes with
+    match Option.map (List.map String.lowercase_ascii) only with
     | None -> fun _ -> true
-    | Some ps ->
-        let ps = List.map String.lowercase_ascii ps in
-        List.iter
-          (fun p ->
-            if not (List.mem p probe_names) then
-              invalid_arg
-                (Fmt.str "unknown probe %S (known: %s)" p (String.concat ", " probe_names)))
-          ps;
-        fun p -> List.mem p ps
+    | Some [] -> reject "empty probe selection"
+    | Some ps -> (
+        match List.find_opt (fun p -> not (List.mem p known)) ps with
+        | Some p -> reject "unknown probe %S" p
+        | None -> fun p -> List.mem p ps)
   in
+  let entries = match entries with Some es -> es | None -> Registry.all () in
   let domains = match pool with None -> 1 | Some p -> Pool.domains p in
-  let problems =
-    List.map (run_entry ?pool ?serve ?shard ?synth ~want ~seed ~count ~quick) entries
-  in
+  let problems = List.map (run_entry ?pool ~probes ~want ~seed ~count ~quick) entries in
   { Report.seed; count; domains; quick; problems }
 
 (* --- standalone trace files ------------------------------------------------ *)

@@ -1,84 +1,95 @@
 (** The differential conformance oracle.
 
     For every registry entry (or a chosen subset) the oracle builds the
-    entry's trials and runs the conformance probes:
+    entry's trials once, then runs two data phases and a list of
+    {!probe}s over them:
 
-    + every registered solver solves every instance; the assembled
-      output must pass the problem's own checker, and the cost envelope
-      must hold — [runs = n], no aborts, [VOL >= DIST >= 0], [VOL >= 1],
-      and deterministic solvers consume zero random bits;
-    + {!Vc_measure.Runner} statistics are bit-identical across pool
-      widths 1, 2 and 4 (merge consistency);
-    + cross-model executions (CONGEST protocols) produce complete,
-      valid outputs;
-    + [count] mutation-fuzzing rounds, round-robin over the entry's
-      trials: every rejection must be anchored within the checkability
-      radius of the mutation site, and at least one mutant per problem
-      must be rejected overall;
-    + record/replay determinism: every solver's probe transcript
-      ({!Vc_obs.Trace}) must survive a JSONL round-trip and re-drive the
-      run bit-identically;
-    + IR vs. closure: entries with an IR port must reproduce the
-      reference closure solver bit for bit — outputs and cost envelopes
-      — under both {!Vc_ir.Exec} executors, budgeted and not.
+    - data phase ["solvers"]: every registered solver solves every
+      instance; the assembled output must pass the problem's own
+      checker, and the cost envelope must hold — [runs = n], no aborts,
+      [VOL >= DIST >= 0], [VOL >= 1], and deterministic solvers consume
+      zero random bits;
+    - data phase ["mutate"]: [count] mutation-fuzzing rounds,
+      round-robin over the entry's trials: every rejection must be
+      anchored within the checkability radius of the mutation site, and
+      at least one mutant per problem must be rejected overall;
+    - each probe of the list ({!builtin} plus whatever an upper layer
+      appends) runs on every trial, or on the first (smallest) trial
+      only, and yields one verdict per problem.
 
     Everything is a deterministic function of [seed]; a failing run is
     reproducible with [volcomp check --seed N], and the CLI writes the
     failing problem's reference transcript for offline {!replay_trace}. *)
 
-val probe_names : string list
-(** The probe identifiers accepted by {!run}'s [?probes]:
-    ["solvers"; "merge"; "cross"; "lazy"; "ir"; "mutate"; "replay";
-    "serve"; "shard"; "snap"; "synth"]. *)
+type ctx = {
+  entry : Registry.entry;
+  size : int;
+  seed : int64;  (** the per-trial seed the trial was built from *)
+  trial : Registry.trial;
+  pool : Vc_exec.Pool.t option;  (** the run's pool, for probes that re-solve *)
+}
+(** One trial as a probe sees it. *)
+
+type probe = {
+  name : string;  (** selection key and report key, lower case *)
+  first_trial_only : bool;
+      (** run on the first (smallest) trial only — for probes that are
+          expensive per call, such as spawning a process tier *)
+  run : ctx -> (unit, string) result option;
+      (** [None]: the probe does not apply to this trial (e.g. no IR
+          port); [Error] describes the first divergence *)
+}
+(** A conformance probe.  The oracle reports an [Error msg] as
+    ["<name> at size N: <msg>"] and an exception as
+    ["<name> at size N raised <exn>"], and folds the trials into one
+    {!Report.problem_report.p_verdicts} entry. *)
+
+val builtin : probe list
+(** The probes this library can run by itself, in report order:
+    - ["merge"] (first trial): {!Vc_measure.Runner} statistics are
+      bit-identical across pool widths 1, 2 and 4;
+    - ["cross"]: cross-model executions (CONGEST protocols) produce
+      complete, valid outputs;
+    - ["lazy"]: lazy and eager worlds give bit-identical probe results;
+    - ["ir"]: entries with an IR port reproduce the reference closure
+      solver bit for bit — outputs and cost envelopes — under both
+      {!Vc_ir.Exec} executors, budgeted and not;
+    - ["replay"]: every solver's probe transcript ({!Vc_obs.Trace})
+      survives a JSONL round-trip and re-drives the run bit-identically;
+    - ["snap"]: a trial loaded from a snapshot store hit reproduces the
+      freshly built trial's solver outcomes, per-origin probe summaries
+      and trace transcript exactly.
+
+    Layers above this library append their own records (the serving
+    layer's ["serve"] and ["shard"], the synthesizer's ["synth"]). *)
+
+val names : probe list -> string list
+(** Every name [?only] accepts for a run over these probes:
+    ["solvers"; "mutate"] followed by the probe names. *)
 
 val run :
   ?pool:Vc_exec.Pool.t ->
   ?entries:Registry.entry list ->
-  ?probes:string list ->
-  ?serve:(Registry.entry -> size:int -> seed:int64 -> (unit, string) result) ->
-  ?shard:(Registry.entry -> size:int -> seed:int64 -> (unit, string) result) ->
-  ?synth:(Registry.entry -> (unit, string) result option) ->
+  ?probes:probe list ->
+  ?only:string list ->
   seed:int64 ->
   count:int ->
   quick:bool ->
   unit ->
   Report.t
 (** [run ~seed ~count ~quick ()] checks [entries] (default:
-    {!Registry.all}).  [quick] selects each entry's small sizes — the
-    [dune runtest] profile.  [?pool] parallelizes the per-solver runs;
-    the report's verdicts do not depend on it.
+    {!Registry.all}) with [probes] (default: {!builtin}).  [quick]
+    selects each entry's small sizes — the [dune runtest] profile.
+    [?pool] parallelizes the per-solver runs; the report's verdicts do
+    not depend on it.
 
-    [?probes] restricts the run to the named probes (default: all of
-    {!probe_names}; case-insensitive).  Skipped probes keep their
-    vacuous defaults and are listed in
-    {!Report.problem_report.p_probes_skipped}; skipping ["mutate"]
-    waives the at-least-one-rejection requirement.  Raises
-    [Invalid_argument] on an unknown probe name.
-
-    [?serve] is the seventh probe, injected from above because the
-    serving layer depends on this library: given an entry and one
-    trial's (size, seed), it must round-trip the trial's queries through
-    the [lib/serve] wire codec and in-process handler and verify the
-    payloads are byte-identical to direct computation ([Error] describes
-    the first divergence).  When absent, reports carry
-    [p_serve = None].
-
-    [?shard] is the ninth probe, likewise injected from above: given an
-    entry and one trial's (size, seed) it must drive a fixed corpus
-    through a real multi-process sharded tier and verify the replies are
-    byte-identical to a single-process server's.  It runs on the first
-    (smallest) trial only — each invocation spawns a supervisor and its
-    workers.  When absent, reports carry [p_shard = None].
-
-    [?synth] is the eleventh probe, injected from above because the
-    synthesis subsystem depends on this library: given an entry it
-    returns [None] when the problem has no synthesis universe, else the
-    outcome of re-deriving the problem's volume classification with the
-    SAT pipeline — a witness at the known-feasible budget that passes an
-    independent recheck, a DRUP-certified UNSAT below it, and (where a
-    proven adversary bound exists) a live re-derivation of that bound
-    strictly above the UNSAT budget.  When absent, reports carry
-    [p_synth = None]. *)
+    [?only] restricts the run to the named probes and data phases
+    (case-insensitive, of {!names}[ probes]).  Everything else is listed
+    in {!Report.problem_report.p_probes_skipped} and its verdict reads
+    [None]; skipping ["mutate"] waives the at-least-one-rejection
+    requirement.  Raises [Invalid_argument], naming the known probes,
+    on an empty selection or an unknown name — before any trial is
+    built. *)
 
 val find_entry :
   ?entries:Registry.entry list -> string -> (Registry.entry, string) result

@@ -210,7 +210,7 @@ let make_trial (type i o) ~(problem : (i, o) Lcl.t) ~graph ~(input : Graph.node 
       solvers;
     !result
   in
-  (* Probe 8: the IR port must reproduce the reference closure solver bit
+  (* Oracle probe [ir]: the IR port must reproduce the reference closure solver bit
      for bit — output and full cost envelope — from every origin, under
      the reference interpreter and the batched executor alike.  Budgeted
      passes pin down the abort envelope too: a truncated IR run must
@@ -303,7 +303,7 @@ let make_trial (type i o) ~(problem : (i, o) Lcl.t) ~graph ~(input : Graph.node 
       | (_ : _ Probe.result) -> Trace.checking_result sink
       | exception Trace.Replay_mismatch msg -> Error msg
   in
-  (* Probe 6: for every solver from every origin, record a transcript,
+  (* Oracle probe [replay]: for every solver from every origin, record a transcript,
      push every event through its JSONL encoding and back, then re-drive
      the run against the decoded transcript.  Both the event sequence and
      the final [Probe.result] must be bit-identical. *)

@@ -2,8 +2,8 @@
     uniformly for differential checking.
 
     Each {!entry} knows how to build {e trials} — concrete instances at a
-    given size and seed — and each trial exposes the six conformance
-    probes the oracle runs:
+    given size and seed — and each trial exposes the closures behind the
+    oracle's data phases and built-in probes ({!Oracle.builtin}):
 
     - {b differential solving}: run every registered solver over the same
       instance and report per-solver cost statistics plus output

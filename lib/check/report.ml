@@ -20,15 +20,7 @@ type problem_report = {
   p_radius : int;
   p_instances : int;
   p_solvers : solver_agg list;
-  p_merge_consistent : bool;
-  p_cross_model : (string * bool) list;
-  p_lazy_eager : bool;
-  p_ir : bool option;
-  p_replay : bool;
-  p_serve : bool option;
-  p_shard : bool option;
-  p_snap : bool option;
-  p_synth : bool option;
+  p_verdicts : (string * bool option) list;
   p_mutations : kind_agg list;
   p_probes_skipped : string list;
   p_failures : string list;
@@ -67,25 +59,13 @@ let pp_problem ppf p =
         (if s.s_randomized then "(rand)" else "(det) ")
         s.s_valid s.s_trials s.s_max_volume s.s_max_distance s.s_max_rand_bits)
     p.p_solvers;
-  Fmt.pf ppf "merge-consistent: %b@," p.p_merge_consistent;
-  List.iter (fun (name, passed) -> Fmt.pf ppf "cross-model %s: %b@," name passed) p.p_cross_model;
-  Fmt.pf ppf "lazy/eager identical: %b@," p.p_lazy_eager;
-  (match p.p_ir with
-  | None -> ()
-  | Some b -> Fmt.pf ppf "ir/closure identical: %b@," b);
-  Fmt.pf ppf "record/replay identical: %b@," p.p_replay;
-  (match p.p_serve with
-  | None -> ()
-  | Some b -> Fmt.pf ppf "serve round-trip identical: %b@," b);
-  (match p.p_shard with
-  | None -> ()
-  | Some b -> Fmt.pf ppf "sharded tier identical: %b@," b);
-  (match p.p_snap with
-  | None -> ()
-  | Some b -> Fmt.pf ppf "snapshot identical: %b@," b);
-  (match p.p_synth with
-  | None -> ()
-  | Some b -> Fmt.pf ppf "synthesis verdicts consistent: %b@," b);
+  if p.p_verdicts <> [] then
+    Fmt.pf ppf "probes: %s@,"
+      (String.concat "  "
+         (List.map
+            (fun (name, v) ->
+              name ^ " " ^ match v with Some true -> "ok" | Some false -> "FAIL" | None -> "-")
+            p.p_verdicts));
   if p.p_probes_skipped <> [] then
     Fmt.pf ppf "probes skipped: %s@," (String.concat ", " p.p_probes_skipped);
   List.iter
@@ -139,15 +119,11 @@ let problem_json p =
       ("radius", if p.p_radius = max_int then Json.String "unbounded" else Json.Int p.p_radius);
       ("instances", Json.Int p.p_instances);
       ("solvers", Json.List (List.map solver_json p.p_solvers));
-      ("merge_consistent", Json.Bool p.p_merge_consistent);
-      ("lazy_eager", Json.Bool p.p_lazy_eager);
-      ("ir", match p.p_ir with None -> Json.Null | Some b -> Json.Bool b);
-      ("replay", Json.Bool p.p_replay);
-      ("serve", match p.p_serve with None -> Json.Null | Some b -> Json.Bool b);
-      ("shard", match p.p_shard with None -> Json.Null | Some b -> Json.Bool b);
-      ("snap", match p.p_snap with None -> Json.Null | Some b -> Json.Bool b);
-      ("synth", match p.p_synth with None -> Json.Null | Some b -> Json.Bool b);
-      ("cross_model", Json.Obj (List.map (fun (n, b) -> (n, Json.Bool b)) p.p_cross_model));
+      ( "probes",
+        Json.Obj
+          (List.map
+             (fun (n, v) -> (n, match v with None -> Json.Null | Some b -> Json.Bool b))
+             p.p_verdicts) );
       ( "mutations",
         Json.Obj
           [

@@ -30,45 +30,16 @@ type problem_report = {
   p_radius : int;
   p_instances : int;
   p_solvers : solver_agg list;
-  p_merge_consistent : bool;
-  p_cross_model : (string * bool) list;
-  p_lazy_eager : bool;
-      (** lazy and eager worlds produced bit-identical probe results *)
-  p_ir : bool option;
-      (** the {!Vc_ir} port reproduced the reference closure solver bit
-          for bit (outputs and cost envelopes, interpreter and batched
-          executor); [None] when the entry has no IR port or the probe
-          was skipped *)
-  p_replay : bool;
-      (** recorded transcripts replayed bit-identically ({!Vc_obs.Trace}) *)
-  p_serve : bool option;
-      (** in-process serving round-trip ([lib/serve] protocol encode →
-          decode → handle → encode) produced byte-identical payloads to
-          direct computation; [None] when the probe was not supplied
-          (the serving layer sits above this library, so the CLI injects
-          it via {!Oracle.run}'s [?serve]) *)
-  p_shard : bool option;
-      (** a real multi-process sharded tier ([serve --workers N]) served
-          a fixed corpus byte-identically to a single-process server;
-          [None] when the probe was not supplied (injected via
-          {!Oracle.run}'s [?shard], checked on the smallest trial only) *)
-  p_snap : bool option;
-      (** snapshot-loaded instances (oracle probe ["snap"]) reproduced
-          freshly built trials byte-identically: solver outcomes, probe
-          cost vectors and trace transcripts; [None] when skipped *)
-  p_synth : bool option;
-      (** SAT-based synthesis (oracle probe ["synth"]) re-derived the
-          problem's volume classification: a witness program was found
-          at the known-feasible budget and independently rechecked, the
-          budget below it was proven UNSAT (DRUP-certified), and the
-          verdicts sit consistently against the live adversary bound;
-          [None] when the probe was not supplied (injected via
-          {!Oracle.run}'s [?synth]) or the problem has no synthesis
-          universe *)
+  p_verdicts : (string * bool option) list;
+      (** one verdict per {!Oracle.probe} of the run, in list order:
+          [Some true] passed on every trial it applied to, [Some false]
+          failed on at least one (each failure is in [p_failures]),
+          [None] skipped by the selection or applicable to no trial —
+          never a vacuous [Some true] *)
   p_mutations : kind_agg list;
   p_probes_skipped : string list;
-      (** probes excluded by {!Oracle.run}'s [?probes] filter; skipped
-          probes keep their vacuous defaults *)
+      (** probes and data phases excluded by {!Oracle.run}'s [?only]
+          selection *)
   p_failures : string list;
       (** human-readable conformance failures; empty means conformant *)
 }
@@ -87,7 +58,7 @@ val mutations_rejected : problem_report -> int
 val problem_ok : problem_report -> bool
 (** No failures, and the fuzzer rejected at least one mutant (a problem
     whose checker never rejects anything proves nothing) — unless the
-    mutation probe itself was skipped. *)
+    ["mutate"] data phase was skipped. *)
 
 val ok : t -> bool
 

@@ -9,7 +9,7 @@
     written into a caller-provided {!sink} of flat arrays — zero
     per-origin allocation, which is what the bench gate measures.
     {!run_batch} wraps it when per-origin result records are the
-    convenient shape.  Oracle probe 8 asserts reference and batched
+    convenient shape.  Oracle probe [ir] asserts reference and batched
     agree bit for bit (outputs and cost envelopes) on the registry
     corpus; the qcheck properties in [test/test_ir.ml] assert it on
     random programs. *)

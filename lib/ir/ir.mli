@@ -20,7 +20,7 @@
     visited nodes, and the origin is free.  {!Exec} provides a reference
     interpreter that runs through a [Probe.ctx] — so this is true by
     construction — and a batched executor that must (and does, see
-    oracle probe 8) reproduce it bit for bit. *)
+    oracle probe [ir]) reproduce it bit for bit. *)
 
 type reg = int
 (** Register index in [0 .. n_regs-1].  Registers hold nodes; they start

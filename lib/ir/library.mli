@@ -3,7 +3,7 @@
 
     Each port reproduces its closure solver's probe schedule {e exactly}
     — same queries, same order, including quirks like [children]'s
-    re-issued status queries in LeafColoring — so oracle probe 8 can
+    re-issued status queries in LeafColoring — so oracle probe [ir] can
     demand byte-identical outputs {e and} cost envelopes. *)
 
 module TL = Vc_graph.Tree_labels

@@ -72,7 +72,7 @@ let measure_max ~world ~solver ?randomness ?pool ?ir ~origins () =
   stats
 
 (* Ladders whose solver has an IR port ride the batched executor —
-   probe 8 keeps the stats bit-identical, so the fitted curves cannot
+   oracle probe [ir] keeps the stats bit-identical, so the fitted curves cannot
    move; only the wall-clock does. *)
 let ir_target spec graph input =
   { Runner.ir_spec = spec; ir_graph = graph; ir_input = input }

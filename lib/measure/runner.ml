@@ -106,7 +106,7 @@ type ('i, 'o) ir_target = {
   ir_input : Graph.node -> 'i;
 }
 
-(* The IR fast path.  Oracle probe 8 guarantees the batched executor
+(* The IR fast path.  Oracle probe [ir] guarantees the batched executor
    produces the exact per-origin result record the closure solver would,
    so folding the batch with [add] in origin order reproduces the
    closure path's stats and outputs bit for bit — while thousands of

@@ -52,7 +52,7 @@ type ('i, 'o) ir_target = {
   ir_input : Graph.node -> 'i;
 }
 (** An IR port of the measured solver, enabling the batched fast path.
-    The spec must be a faithful port (oracle probe 8's guarantee): the
+    The spec must be a faithful port (oracle probe [ir]'s guarantee): the
     stats and outputs {!measure} returns through it are bit-identical to
     the closure path's.  The graph and input must be the ones backing
     [world], whose claimed [n] is announced to the program. *)

@@ -248,3 +248,18 @@ let shard_probe ~exe ~workers (e : Registry.entry) ~size ~seed =
       in
       let* _bye = ask (stats_id + 1) Protocol.Shutdown in
       Ok ())
+
+let probes ~exe ~workers : Vc_check.Oracle.probe list =
+  [
+    {
+      name = "serve";
+      first_trial_only = false;
+      run = (fun c -> Some (probe c.entry ~size:c.size ~seed:c.seed));
+    };
+    (* spawns a whole supervisor and its workers per call *)
+    {
+      name = "shard";
+      first_trial_only = true;
+      run = (fun c -> Some (shard_probe ~exe ~workers c.entry ~size:c.size ~seed:c.seed));
+    };
+  ]

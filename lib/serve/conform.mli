@@ -1,9 +1,9 @@
-(** The oracle's serving-layer probes: round-trip identity (probe 8) and
-    sharded-tier identity (probe 9).
+(** The oracle's serving-layer probes: round-trip identity (oracle probe
+    [serve]) and sharded-tier identity (oracle probe [shard]).
 
     [lib/check] cannot depend on this library (the handler serves
-    registry trials), so the probes live here and the CLI injects them
-    via {!Vc_check.Oracle.run}'s [?serve] and [?shard] arguments. *)
+    registry trials), so the probes live here and the CLI appends
+    {!probes} to {!Vc_check.Oracle.builtin}. *)
 
 val probe : Vc_check.Registry.entry -> size:int -> seed:int64 -> (unit, string) result
 (** Round-trip one trial's queries through the {e full} wire path —
@@ -16,18 +16,15 @@ val probe : Vc_check.Registry.entry -> size:int -> seed:int64 -> (unit, string) 
     back as the structured [unknown_problem] / [bad_origin] errors.
     [Error] describes the first divergence. *)
 
-val shard_probe :
-  exe:string ->
-  workers:int ->
-  Vc_check.Registry.entry ->
-  size:int ->
-  seed:int64 ->
-  (unit, string) result
-(** Spawn a real sharded tier — [exe serve --workers N --socket tmp] —
-    and drive a fixed corpus (solve, warm, probes and traces from three
-    origins, list, unknown problem, out-of-range origin) through it,
-    asserting every reply is {e byte-for-byte} the reply a
-    single-process server over the full registry would send.  Finishes
-    by checking the merged [stats] reports all [workers] alive, then
-    shuts the tier down and reaps it (also on failure).  [Error]
-    describes the first divergence. *)
+val probes : exe:string -> workers:int -> Vc_check.Oracle.probe list
+(** The oracle records, in order:
+
+    - ["serve"], on every trial: {!probe} at the trial's size and seed.
+    - ["shard"], on the first trial only: spawn a real sharded tier —
+      [exe serve --workers N --socket tmp] — and drive a fixed corpus
+      (solve, warm, probes and traces from three origins, list, unknown
+      problem, out-of-range origin) through it, asserting every reply is
+      {e byte-for-byte} the reply a single-process server over the full
+      registry would send.  Finishes by checking the merged [stats]
+      reports all [workers] alive, then shuts the tier down and reaps it
+      (also on failure).  [Error] describes the first divergence. *)

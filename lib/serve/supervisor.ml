@@ -99,7 +99,7 @@ let route_shard = function
 (* Worker replies are our own [ok_reply]/[error_reply] encodings, whose
    first member is always ["id"].  Rewriting the internal id back to the
    client's by splicing the digit run keeps every other byte of the
-   reply untouched — the byte-identity contract of probe 9 rests on the
+   reply untouched — the byte-identity contract of oracle probe [shard] rests on the
    supervisor never re-encoding a payload. *)
 let id_prefix = "{\"id\":"
 

@@ -440,7 +440,7 @@ let pp_verdict ppf v =
     | None -> "")
     r.Encode.wall_s
 
-(* --- oracle probe 11 ---------------------------------------------------------- *)
+(* --- oracle probe synth -------------------------------------------------------- *)
 
 let probe_one spec =
   let ( let* ) = Result.bind in
@@ -449,12 +449,12 @@ let probe_one spec =
     if sat_v.v_sat then Ok ()
     else
       Error
-        (Printf.sprintf "synth: %s expected SAT at volume %d" spec.s_name spec.s_volume)
+        (Printf.sprintf "%s expected SAT at volume %d" spec.s_name spec.s_volume)
   in
   let* program =
     match sat_v.v_report.Encode.outcome with
     | Encode.Synthesized p -> Ok p
-    | Encode.Unsat_at_budget -> Error "synth: SAT verdict without a witness"
+    | Encode.Unsat_at_budget -> Error "SAT verdict without a witness"
   in
   (* distrust the loop's own bookkeeping: re-validate and re-run *)
   let* () = Encode.recheck spec.s_universe program in
@@ -463,7 +463,7 @@ let probe_one spec =
     if not unsat_v.v_sat then Ok ()
     else
       Error
-        (Printf.sprintf "synth: %s expected UNSAT at volume %d" spec.s_name
+        (Printf.sprintf "%s expected UNSAT at volume %d" spec.s_name
            spec.s_unsat_volume)
   in
   let* () =
@@ -471,7 +471,7 @@ let probe_one spec =
     else if unsat_v.v_report.Encode.certified = Some true then Ok ()
     else
       Error
-        (Printf.sprintf "synth: %s UNSAT proof failed DRUP replay: %s" spec.s_name
+        (Printf.sprintf "%s UNSAT proof failed DRUP replay: %s" spec.s_name
            (Option.value unsat_v.v_report.Encode.certify_error ~default:"not certified"))
   in
   match spec.s_bound with
@@ -479,7 +479,7 @@ let probe_one spec =
   | Some bound -> (
       let* () =
         if spec.s_unsat_volume < bound then Ok ()
-        else Error "synth: UNSAT budget not below the claimed adversary bound"
+        else Error "UNSAT budget not below the claimed adversary bound"
       in
       (* the bound is not a constant in a table — re-derive it live *)
       match Volcomp.Adversary_leaf.duel ~claimed_n:15 LC.solve_distance with
@@ -488,12 +488,14 @@ let probe_one spec =
           else
             Error
               (Printf.sprintf
-                 "synth: adversary conceded at volume %d, below the claimed bound %d"
+                 "adversary conceded at volume %d, below the claimed bound %d"
                  volume bound)
       | Volcomp.Adversary_leaf.Fooled _ ->
-          Error "synth: adversary fooled the reference solver")
+          Error "adversary fooled the reference solver")
 
-let oracle_probe ~registry_name =
-  match find registry_name with
-  | None -> None
-  | Some spec -> Some (probe_one spec)
+let oracle_probe : Vc_check.Oracle.probe =
+  {
+    name = "synth";
+    first_trial_only = true;
+    run = (fun c -> Option.map probe_one (find c.entry.Vc_check.Registry.name));
+  }

@@ -92,12 +92,12 @@ val table_json : verdict list -> Vc_obs.Json.t
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-val oracle_probe : registry_name:string -> (unit, string) result option
-(** Oracle probe 11, keyed by registry problem name ([None] for
-    problems without a synthesis universe).  Synthesizes at [s_volume]
-    and re-checks the witness independently (validates, byte-compares
-    [Exec.run] vs [Exec.run_batch] per origin, runs the LCL checker),
-    proves UNSAT at [s_unsat_volume] with a DRUP-certified proof, and
-    for [LeafColoring] re-runs the {!Volcomp.Adversary_leaf} duel to
-    confirm the UNSAT budget sits strictly below the live adversary
-    bound. *)
+val oracle_probe : Vc_check.Oracle.probe
+(** Oracle probe ["synth"], on the first trial only; [None] for
+    registry problems without a synthesis universe.  Synthesizes at
+    [s_volume] and re-checks the witness independently (validates,
+    byte-compares [Exec.run] vs [Exec.run_batch] per origin, runs the LCL
+    checker), proves UNSAT at [s_unsat_volume] with a DRUP-certified
+    proof, and for [LeafColoring] re-runs the {!Volcomp.Adversary_leaf}
+    duel to confirm the UNSAT budget sits strictly below the live
+    adversary bound. *)

@@ -85,7 +85,7 @@ val recheck : universe -> Vc_ir.Ir.program -> (unit, string) result
 (** Independent re-examination of a witness: {!Vc_ir.Ir.validate}, then
     on every corpus instance run it from every origin with both
     executors (byte-compared), demand completion within the declared
-    envelope, and run the full LCL checker.  What oracle probe 11 uses
+    envelope, and run the full LCL checker.  What oracle probe [synth] uses
     to distrust {!synthesize}'s own bookkeeping. *)
 
 val synthesize :

@@ -10,6 +10,7 @@ module Mutate = Vc_check.Mutate
 module Registry = Vc_check.Registry
 module Oracle = Vc_check.Oracle
 module Report = Vc_check.Report
+module Json = Vc_obs.Json
 module LC = Volcomp.Leaf_coloring
 
 let graph_equal a b =
@@ -134,7 +135,10 @@ let test_oracle_quick_conformant () =
   List.iter
     (fun p ->
       Alcotest.(check (list string)) (p.Report.p_name ^ ": no failures") [] p.Report.p_failures;
-      Alcotest.(check bool) (p.Report.p_name ^ ": merge consistent") true p.Report.p_merge_consistent;
+      Alcotest.(check (option (option bool)))
+        (p.Report.p_name ^ ": merge consistent")
+        (Some (Some true))
+        (List.assoc_opt "merge" p.Report.p_verdicts);
       Alcotest.(check bool)
         (p.Report.p_name ^ ": fuzzer rejected at least one mutant")
         true
@@ -153,12 +157,28 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
+(* The "probes" object of the report's only problem, parsed back. *)
+let probes_json report =
+  match Json.parse (Report.to_json report) with
+  | Error msg -> Alcotest.fail msg
+  | Ok json -> (
+      match Option.bind (Json.member json "problems") (function
+              | Json.List [ p ] -> Json.member p "probes"
+              | _ -> None)
+      with
+      | Some (Json.Obj kvs) -> kvs
+      | _ -> Alcotest.fail "no probes object")
+
 let test_report_json_shape () =
   let report = Oracle.run ~entries:[ List.hd (Registry.all ()) ] ~seed:3L ~count:3 ~quick:true () in
   let json = Report.to_json report in
   List.iter
     (fun key -> Alcotest.(check bool) (key ^ " present") true (contains json key))
     [ "\"seed\""; "\"count\""; "\"ok\""; "\"problems\""; "\"solvers\""; "\"mutations\""; "\"by_kind\"" ];
+  Alcotest.(check (list string))
+    "probes keys are the probe list's names"
+    (List.map (fun (p : Oracle.probe) -> p.name) Oracle.builtin)
+    (List.map fst (probes_json report));
   let path = Filename.temp_file "volcomp-check" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   Report.write_json report ~path;
@@ -166,6 +186,61 @@ let test_report_json_shape () =
   let written = really_input_string ic (in_channel_length ic) in
   close_in ic;
   Alcotest.(check bool) "write_json writes to_json" true (String.trim written = String.trim json)
+
+(* --- probe selection ----------------------------------------------------------- *)
+
+let test_only_ir () =
+  let e = List.find (fun (e : Registry.entry) -> e.ir) (Registry.all ()) in
+  let report = Oracle.run ~entries:[ e ] ~only:[ "IR" ] ~seed:3L ~count:3 ~quick:true () in
+  let p = List.hd report.Report.problems in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check (option bool)) (name ^ " verdict") (if name = "ir" then Some true else None) v)
+    p.Report.p_verdicts;
+  Alcotest.(check (list string))
+    "everything else skipped"
+    (List.filter (fun n -> n <> "ir") (Oracle.names Oracle.builtin))
+    p.Report.p_probes_skipped;
+  Alcotest.(check bool) "report ok" true (Report.ok report)
+
+let test_bad_selection_rejected () =
+  List.iter
+    (fun (what, only) ->
+      match Oracle.run ~entries:[] ~only ~seed:3L ~count:1 ~quick:true () with
+      | _ -> Alcotest.failf "%s selection accepted" what
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) (what ^ ": names the known probes") true (contains msg "replay"))
+    [ ("unknown", [ "lazy"; "nope" ]); ("empty", []) ]
+
+let test_failing_probes_reported () =
+  let e = List.hd (Registry.all ()) in
+  let size = List.hd e.quick_sizes in
+  let probes =
+    Oracle.builtin
+    @ [
+        { Oracle.name = "boom"; first_trial_only = false; run = (fun _ -> Some (Error "boom")) };
+        { Oracle.name = "raises"; first_trial_only = false; run = (fun _ -> failwith "kaput") };
+      ]
+  in
+  let report =
+    Oracle.run ~entries:[ e ] ~probes ~only:[ "boom"; "raises" ] ~seed:3L ~count:3 ~quick:true ()
+  in
+  let p = List.hd report.Report.problems in
+  Alcotest.(check int) "one trial" 1 p.Report.p_instances;
+  Alcotest.(check bool) "report not ok" false (Report.ok report);
+  Alcotest.(check (list string))
+    "uniform failure strings"
+    [
+      Printf.sprintf "boom at size %d: boom" size;
+      Printf.sprintf "raises at size %d raised Failure(\"kaput\")" size;
+    ]
+    p.Report.p_failures;
+  let probes_json = probes_json report in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("probes." ^ name ^ " is false") true
+        (List.assoc_opt name probes_json = Some (Json.Bool false)))
+    [ "boom"; "raises" ]
 
 let suites =
   [
@@ -187,5 +262,8 @@ let suites =
         Alcotest.test_case "quick run conformant" `Quick test_oracle_quick_conformant;
         Alcotest.test_case "deterministic" `Quick test_oracle_deterministic;
         Alcotest.test_case "json shape" `Quick test_report_json_shape;
+        Alcotest.test_case "only ir" `Quick test_only_ir;
+        Alcotest.test_case "bad selection rejected" `Quick test_bad_selection_rejected;
+        Alcotest.test_case "failing probes reported" `Quick test_failing_probes_reported;
       ] );
   ]

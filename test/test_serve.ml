@@ -219,7 +219,7 @@ let test_framing_rejects () =
 (* --- handler ---------------------------------------------------------------- *)
 
 (* Byte-identity for every registry problem: Conform.probe is the exact
-   closure `volcomp check` injects as the oracle's seventh probe. *)
+   closure behind the oracle probe `serve` of `volcomp check`. *)
 let test_handler_byte_identity () =
   List.iter
     (fun (e : Registry.entry) ->

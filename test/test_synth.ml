@@ -588,8 +588,17 @@ let test_leaf_unsat_below_bound_certified () =
         "DRUP-certified" true
         (v.Classify.v_report.Encode.certified = Some true)
 
+(* Run the synth oracle probe on the named problem's smallest trial. *)
+let oracle_probe_on problem =
+  match Vc_check.Oracle.find_entry problem with
+  | Error msg -> Alcotest.fail msg
+  | Ok entry ->
+      let size = List.hd entry.Vc_check.Registry.quick_sizes and seed = 1L in
+      Classify.oracle_probe.run
+        { entry; size; seed; trial = entry.make ~size ~seed (); pool = None }
+
 let test_oracle_probe_parity () =
-  match Classify.oracle_probe ~registry_name:"DegreeParity" with
+  match oracle_probe_on "DegreeParity" with
   | None -> Alcotest.fail "DegreeParity has a synthesis universe"
   | Some (Error msg) -> Alcotest.fail msg
   | Some (Ok ()) -> ()
@@ -597,7 +606,7 @@ let test_oracle_probe_parity () =
 let test_oracle_probe_unknown () =
   Alcotest.(check bool)
     "no universe -> None" true
-    (Classify.oracle_probe ~registry_name:"SinklessOrientation" = None)
+    (oracle_probe_on "SinklessOrientation" = None)
 
 let suites =
   [
