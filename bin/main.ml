@@ -44,21 +44,78 @@ module F4 = Vc_family.Coloring4
 module FM = Vc_family.Matching
 module FI = Vc_family.Mis
 
-(* --- worker domains (-j / VOLCOMP_JOBS) ------------------------------------ *)
+(* --- shared flags ---------------------------------------------------------------
+   Every flag more than one verb takes is settled here once: its name, type,
+   default and help text.  Numeric flags parse through [pos_int] /
+   [nonneg_int] / [pos_float], so an out-of-range value is a cmdliner usage
+   error (exit 124) at parse time, not an exception from inside a run. *)
 
-let jobs_term =
-  let doc =
-    "Number of worker domains for the parallel runner (default: $(b,VOLCOMP_JOBS) if set, \
-     else the recommended domain count).  Results are identical at any value."
+let bounded ~expected ok conv =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Fmt.str "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.conv (parse, Arg.conv_printer conv)
 
-let with_jobs jobs f =
-  let domains = match jobs with Some j -> j | None -> Pool.default_domains () in
-  if domains < 1 then invalid_arg "-j must be a positive integer";
-  if domains > 1 then Pool.with_pool ~domains (fun pool -> f (Some pool)) else f None
+let pos_int = bounded ~expected:"a positive integer" (fun n -> n >= 1) Arg.int
+let nonneg_int = bounded ~expected:"a non-negative integer" (fun n -> n >= 0) Arg.int
+let pos_float = bounded ~expected:"a positive number" (fun x -> x > 0.) Arg.float
 
-(* --- metrics (--metrics) --------------------------------------------------- *)
+let seed_term =
+  Arg.(
+    value & opt int 42
+    & info [ "seed" ] ~docv:"N"
+        ~doc:
+          "Master seed: instances, trials, randomness and request plans all derive from \
+           $(docv), so a run is reproduced by its seed.")
+
+let quick_term =
+  Arg.(
+    value & flag
+    & info [ "quick" ]
+        ~doc:"Small profile: the shortened size ladders and each problem's quick instance sizes.")
+
+let only_term =
+  Arg.(
+    value & opt (some string) None
+    & info [ "only" ] ~docv:"SUBSTR"
+        ~doc:
+          "Only problems (with $(b,snap rm): store files) whose name contains $(docv) \
+           (case-insensitive).")
+
+let family_term =
+  Arg.(
+    value & opt (some string) None
+    & info [ "family" ] ~docv:"SUBSTR"
+        ~doc:
+          "Only consider problems whose graph family contains $(docv) (case-insensitive; \
+           families: tree, cycle, cubic, torus, d-regular, expander).")
+
+let size_term =
+  Arg.(
+    value & opt (some pos_int) None
+    & info [ "size" ] ~docv:"N"
+        ~doc:
+          "Instance size (defaults: $(b,ir run) 63, $(b,family build) 36, $(b,snap build) \
+           every registry size).")
+
+let origin_term =
+  Arg.(
+    value & opt (some nonneg_int) None
+    & info [ "origin" ] ~docv:"V"
+        ~doc:"Run from node $(docv) only (defaults: $(b,trace) node 0, $(b,ir run) every node).")
+
+let workers_term =
+  Arg.(
+    value & opt nonneg_int 0
+    & info [ "workers" ] ~docv:"N"
+        ~doc:
+          "Shard the daemon (with $(b,loadgen): the $(b,--spawn)ed one) across $(docv) \
+           worker processes: requests are routed by a consistent hash of their (problem, \
+           size, seed) session key, a dead worker is respawned and its warm sessions \
+           rebuilt.  0 (the default) serves in-process.")
 
 let metrics_term =
   Arg.(
@@ -73,6 +130,60 @@ let with_metrics enabled f =
         let r = f () in
         Fmt.pr "@.%a@." Metrics.pp ();
         r)
+
+(* -j as given ([None] when absent); [jobs_term] is the resolved count. *)
+let jobs_arg =
+  Arg.(
+    value & opt (some pos_int) None
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Number of worker domains for the parallel runner (default: $(b,VOLCOMP_JOBS) if \
+           set, else the recommended domain count).  Results are identical at any value.")
+
+(* The default is resolved at parse time, so a bad VOLCOMP_JOBS is a usage
+   error like a bad -j. *)
+let jobs_term =
+  let resolve = function
+    | Some j -> Ok j
+    | None -> ( try Ok (Pool.default_domains ()) with Invalid_argument msg -> Error msg)
+  in
+  Term.(cli_parse_result' (const resolve $ jobs_arg))
+
+let with_jobs domains f =
+  if domains > 1 then Pool.with_pool ~domains (fun pool -> f (Some pool)) else f None
+
+(* Bare --json prints the document on stdout in place of the human output;
+   --json PATH writes it to PATH and keeps the human output. *)
+type json_out = Stdout | File of string
+
+let json_term =
+  let path =
+    Arg.conv'
+      ( (fun p -> Ok (File p)),
+        fun ppf -> function Stdout -> Fmt.string ppf "stdout" | File p -> Fmt.string ppf p )
+  in
+  Arg.(
+    value
+    & opt ~vopt:(Some Stdout) (some path) None
+    & info [ "json" ] ~docv:"PATH"
+        ~doc:
+          "Emit the result as JSON: bare $(b,--json) prints it on stdout in place of the \
+           human output; with $(docv) it is written to $(docv) and the human output kept.")
+
+let human json = json <> Some Stdout
+
+let emit_json json doc =
+  match json with
+  | None -> ()
+  | Some Stdout -> print_string (Json.to_string doc ^ "\n")
+  | Some (File path) ->
+      let oc = open_out path in
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () ->
+          output_string oc (Json.to_string doc);
+          output_char oc '\n');
+      Fmt.pr "wrote %s@." path
 
 (* --- case-insensitive substring match (--only / --family filters) ---------- *)
 
@@ -92,20 +203,9 @@ let select_entries ~only ~family =
       && match family with None -> true | Some f -> contains e.family f)
     (Vc_check.Registry.all ())
 
-let family_term =
-  Arg.(
-    value & opt (some string) None
-    & info [ "family" ] ~docv:"SUBSTR"
-        ~doc:
-          "Only consider problems whose graph family contains $(docv) (case-insensitive; \
-           families: tree, cycle, cubic, torus, d-regular, expander).")
-
 (* --- experiments ---------------------------------------------------------- *)
 
 let experiments_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Use the shortened size ladders.")
-  in
   let deep =
     Arg.(
       value & flag
@@ -124,31 +224,16 @@ let experiments_cmd =
     let selected =
       match filter with
       | None -> reports
-      | Some f ->
-          List.filter
-            (fun r ->
-              let lower s = String.lowercase_ascii s in
-              let rec contains i =
-                i + String.length (lower f) <= String.length (lower r.Experiments.title)
-                && (String.sub (lower r.Experiments.title) i (String.length f) = lower f
-                   || contains (i + 1))
-              in
-              contains 0)
-            reports
+      | Some f -> List.filter (fun r -> contains r.Experiments.title f) reports
     in
     List.iter (fun r -> Fmt.pr "%a@." Experiments.pp_report r) selected;
     if List.for_all Experiments.all_agree selected then 0 else 1
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Reproduce the paper's tables and figures.")
-    Term.(const run $ quick $ deep $ filter $ jobs_term)
+    Term.(const run $ quick_term $ deep $ filter $ jobs_term)
 
 (* --- solve ----------------------------------------------------------------- *)
-
-let report_solution name stats valid =
-  Fmt.pr "%s: %a@." name Runner.pp_stats stats;
-  Fmt.pr "assembled output %s@." (if valid then "VALID" else "INVALID");
-  if valid then 0 else 1
 
 (* [--trace PATH] on solve: record the solver's run from node 0 as a
    JSONL transcript.  Solve instances are built ad hoc (not through the
@@ -187,8 +272,7 @@ let solve_cmd =
             "One of leafcoloring, balancedtree, hthc, hybrid, sinkless, coloring4, \
              matching, mis.")
   in
-  let n = Arg.(value & opt int 255 & info [ "n" ] ~doc:"Approximate instance size.") in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Instance and randomness seed.") in
+  let n = Arg.(value & opt pos_int 255 & info [ "n" ] ~doc:"Approximate instance size.") in
   let k = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Hierarchy parameter for hthc/hybrid.") in
   let randomized =
     Arg.(value & flag & info [ "randomized"; "r" ] ~doc:"Use the randomized solver.")
@@ -212,157 +296,104 @@ let solve_cmd =
     let seed64 = Int64.of_int seed in
     with_metrics metrics @@ fun () ->
     with_jobs jobs @@ fun pool ->
-    (* [lib/family] problems share one unit-input shape; d is the regular
-       family's degree (3 keeps greedy colouring inside the 4-palette) *)
-    let family_builder fam ~d =
-      match fam with
-      | "torus" -> Some (fun () -> Family.torus_of_size ~size:n ~seed:seed64)
-      | "d-regular" -> Some (fun () -> Family.regular_of_size ~d ~size:n ~seed:seed64)
-      | "expander" -> Some (fun () -> Family.expander_of_size ~size:n ~seed:seed64)
-      | _ -> None
-    in
-    let bad_family fam allowed =
-      Fmt.epr "solve: family %S not supported for this problem (allowed: %s)@." fam
-        (String.concat ", " allowed);
-      2
-    in
-    let run_family ~problem ~solver ~world_of ~name g =
-      let world = world_of g in
+    (* the one solve runner: the branches below only build an instance and
+       pick a solver; randomized solvers draw from a stream seeded one past
+       the instance seed *)
+    let solve ~name ~problem ~graph ~input ~world (solver : (_, _) Lcl.solver) =
+      let randomness =
+        if solver.Lcl.randomized then
+          Some (Randomness.create ~seed:(Int64.add seed64 1L) ~n:(Graph.n graph) ())
+        else None
+      in
       let stats, valid =
-        Runner.solve_and_check ~world ~problem ~graph:g ~input:(fun _ -> ()) ~solver ?pool ()
+        Runner.solve_and_check ~world ~problem ~graph ~input ~solver ?randomness ?pool ()
       in
       Option.iter
         (fun path ->
-          write_solve_trace ~path ~problem:name ~n:(Graph.n g) ~seed:seed64 ~world solver)
+          write_solve_trace ~path ~problem:name ~n:(Graph.n graph) ~seed:seed64 ~world
+            ?randomness solver)
         trace;
-      report_solution solver.Lcl.solver_name stats valid
+      Fmt.pr "%s: %a@." solver.Lcl.solver_name Runner.pp_stats stats;
+      Fmt.pr "assembled output %s@." (if valid then "VALID" else "INVALID");
+      if valid then 0 else 1
+    in
+    (* [lib/family] problems share one unit-input shape; d is the regular
+       family's degree (3 keeps greedy colouring inside the 4-palette) *)
+    let family_graph fam ~d =
+      match fam with
+      | "torus" -> Some (Family.torus_of_size ~size:n ~seed:seed64)
+      | "d-regular" -> Some (Family.regular_of_size ~d ~size:n ~seed:seed64)
+      | "expander" -> Some (Family.expander_of_size ~size:n ~seed:seed64)
+      | _ -> None
+    in
+    let solve_family ~name ~problem ~world_of ~default ~allowed graph_of solver =
+      let fam = String.lowercase_ascii (Option.value family ~default) in
+      match graph_of fam with
+      | None ->
+          Fmt.epr "solve: family %S not supported for this problem (allowed: %s)@." fam
+            (String.concat ", " allowed);
+          2
+      | Some g ->
+          solve ~name ~problem ~graph:g ~input:(fun _ -> ()) ~world:(world_of g) (solver fam)
     in
     match problem with
     | `Leaf ->
         let inst = LC.random_instance ~n ~seed:seed64 in
-        let world = LC.world inst in
-        let solver = if randomized then LC.solve_random_walk else LC.solve_distance in
-        let randomness =
-          if randomized then
-            Some (Randomness.create ~seed:(Int64.add seed64 1L) ~n:(Graph.n inst.LC.graph) ())
-          else None
-        in
-        let stats, valid =
-          Runner.solve_and_check ~world ~problem:LC.problem ~graph:inst.LC.graph
-            ~input:(LC.input inst) ~solver ?randomness ?pool ()
-        in
-        Option.iter
-          (fun path ->
-            write_solve_trace ~path ~problem:"leafcoloring" ~n:(Graph.n inst.LC.graph)
-              ~seed:seed64 ~world ?randomness solver)
-          trace;
-        report_solution solver.Lcl.solver_name stats valid
+        solve ~name:"leafcoloring" ~problem:LC.problem ~graph:inst.LC.graph
+          ~input:(LC.input inst) ~world:(LC.world inst)
+          (if randomized then LC.solve_random_walk else LC.solve_distance)
     | `Bt ->
         let bits = max 4 (n / 4) in
         let pow2 = 1 lsl Volcomp.Probe_tree.log2_ceil bits in
         let disj = Disjointness.random_promise ~n:pow2 ~intersecting:(seed mod 2 = 1) ~seed:seed64 in
         let inst = BT.embed_disjointness disj in
-        let world = BT.world inst in
-        let stats, valid =
-          Runner.solve_and_check ~world ~problem:BT.problem
-            ~graph:inst.BT.graph ~input:(BT.input inst) ~solver:BT.solve_distance ?pool ()
-        in
         Fmt.pr "disjointness instance (disj = %b): %a@." (Disjointness.eval disj)
           Disjointness.pp disj;
-        Option.iter
-          (fun path ->
-            write_solve_trace ~path ~problem:"balancedtree" ~n:(Graph.n inst.BT.graph)
-              ~seed:seed64 ~world BT.solve_distance)
-          trace;
-        report_solution BT.solve_distance.Lcl.solver_name stats valid
+        solve ~name:"balancedtree" ~problem:BT.problem ~graph:inst.BT.graph
+          ~input:(BT.input inst) ~world:(BT.world inst) BT.solve_distance
     | `Hthc ->
         let inst, _ = H.hard_instance ~k ~target_n:n ~seed:seed64 in
-        let world = H.world inst in
-        let solver = if randomized then H.solve_waypoint ~k () else H.solve_deterministic ~k in
-        let randomness =
-          if randomized then
-            Some (Randomness.create ~seed:(Int64.add seed64 1L) ~n:(Graph.n (H.graph inst)) ())
-          else None
-        in
-        let stats, valid =
-          Runner.solve_and_check ~world ~problem:(H.problem ~k) ~graph:(H.graph inst)
-            ~input:(H.input inst) ~solver ?randomness ?pool ()
-        in
-        Option.iter
-          (fun path ->
-            write_solve_trace ~path ~problem:"hthc" ~n:(Graph.n (H.graph inst)) ~seed:seed64
-              ~world ?randomness solver)
-          trace;
-        report_solution solver.Lcl.solver_name stats valid
-    | `Sinkless -> (
-        let fam = String.lowercase_ascii (Option.value family ~default:"cubic") in
-        let build =
-          match fam with
-          | "cubic" -> Some (fun () -> Volcomp.Sinkless.random_cubic ~n ~seed:seed64)
-          | "d-regular" -> family_builder fam ~d:4
-          | _ -> None
-        in
-        match build with
-        | None -> bad_family fam [ "cubic"; "d-regular" ]
-        | Some build ->
-            run_family ~problem:Volcomp.Sinkless.problem ~solver:Volcomp.Sinkless.solve_global
-              ~world_of:Volcomp.Sinkless.world ~name:"sinkless" (build ()))
-    | `C4 -> (
-        let fam = String.lowercase_ascii (Option.value family ~default:"torus") in
-        let solver = if fam = "torus" then F4.solve_torus else F4.solve_greedy in
-        let build = if fam = "expander" then None else family_builder fam ~d:3 in
-        match build with
-        | None -> bad_family fam [ "torus"; "d-regular" ]
-        | Some build ->
-            run_family ~problem:F4.problem ~solver ~world_of:F4.world ~name:"coloring4"
-              (build ()))
-    | `Matching -> (
-        let fam = String.lowercase_ascii (Option.value family ~default:"d-regular") in
-        match family_builder fam ~d:4 with
-        | None -> bad_family fam [ "torus"; "d-regular"; "expander" ]
-        | Some build ->
-            run_family ~problem:FM.problem ~solver:FM.solve_greedy ~world_of:FM.world
-              ~name:"matching" (build ()))
-    | `Mis -> (
-        let fam = String.lowercase_ascii (Option.value family ~default:"d-regular") in
-        match family_builder fam ~d:4 with
-        | None -> bad_family fam [ "torus"; "d-regular"; "expander" ]
-        | Some build ->
-            run_family ~problem:FI.problem ~solver:FI.solve_greedy ~world_of:FI.world
-              ~name:"mis" (build ()))
+        solve ~name:"hthc" ~problem:(H.problem ~k) ~graph:(H.graph inst) ~input:(H.input inst)
+          ~world:(H.world inst)
+          (if randomized then H.solve_waypoint ~k () else H.solve_deterministic ~k)
     | `Hybrid ->
         let inst, _ = Hy.hard_instance ~k ~target_n:n ~seed:seed64 in
-        let world = Hy.world inst in
-        let solver =
-          if randomized then Hy.solve_volume_waypoint ~k () else Hy.solve_distance ~k
-        in
-        let randomness =
-          if randomized then
-            Some (Randomness.create ~seed:(Int64.add seed64 1L) ~n:(Graph.n inst.Hy.graph) ())
-          else None
-        in
-        let stats, valid =
-          Runner.solve_and_check ~world ~problem:(Hy.problem ~k) ~graph:inst.Hy.graph
-            ~input:(Hy.input inst) ~solver ?randomness ?pool ()
-        in
-        Option.iter
-          (fun path ->
-            write_solve_trace ~path ~problem:"hybrid" ~n:(Graph.n inst.Hy.graph) ~seed:seed64
-              ~world ?randomness solver)
-          trace;
-        report_solution solver.Lcl.solver_name stats valid
+        solve ~name:"hybrid" ~problem:(Hy.problem ~k) ~graph:inst.Hy.graph
+          ~input:(Hy.input inst) ~world:(Hy.world inst)
+          (if randomized then Hy.solve_volume_waypoint ~k () else Hy.solve_distance ~k)
+    | `Sinkless ->
+        solve_family ~name:"sinkless" ~problem:Volcomp.Sinkless.problem
+          ~world_of:Volcomp.Sinkless.world ~default:"cubic" ~allowed:[ "cubic"; "d-regular" ]
+          (function
+            | "cubic" -> Some (Volcomp.Sinkless.random_cubic ~n ~seed:seed64)
+            | "d-regular" as fam -> family_graph fam ~d:4
+            | _ -> None)
+          (fun _ -> Volcomp.Sinkless.solve_global)
+    | `C4 ->
+        solve_family ~name:"coloring4" ~problem:F4.problem ~world_of:F4.world ~default:"torus"
+          ~allowed:[ "torus"; "d-regular" ]
+          (fun fam -> if fam = "expander" then None else family_graph fam ~d:3)
+          (fun fam -> if fam = "torus" then F4.solve_torus else F4.solve_greedy)
+    | `Matching ->
+        solve_family ~name:"matching" ~problem:FM.problem ~world_of:FM.world
+          ~default:"d-regular" ~allowed:[ "torus"; "d-regular"; "expander" ]
+          (family_graph ~d:4) (fun _ -> FM.solve_greedy)
+    | `Mis ->
+        solve_family ~name:"mis" ~problem:FI.problem ~world_of:FI.world ~default:"d-regular"
+          ~allowed:[ "torus"; "d-regular"; "expander" ] (family_graph ~d:4)
+          (fun _ -> FI.solve_greedy)
   in
   Cmd.v
     (Cmd.info "solve"
        ~doc:"Solve a random instance from every node and validate the assembled output.")
     Term.(
-      const run $ problem $ n $ seed $ k $ randomized $ family $ trace $ metrics_term
+      const run $ problem $ n $ seed_term $ k $ randomized $ family $ trace $ metrics_term
       $ jobs_term)
 
 (* --- adversary -------------------------------------------------------------- *)
 
 let adversary_cmd =
-  let n = Arg.(value & opt int 300 & info [ "n" ] ~doc:"Claimed instance size.") in
+  let n = Arg.(value & opt pos_int 300 & info [ "n" ] ~doc:"Claimed instance size.") in
   let impatient =
     Arg.(value & flag & info [ "impatient" ] ~doc:"Duel the hasty solver instead of the honest one.")
   in
@@ -389,7 +420,9 @@ let adversary_cmd =
 (* --- congest ----------------------------------------------------------------- *)
 
 let congest_cmd =
-  let depth = Arg.(value & opt int 7 & info [ "depth" ] ~doc:"Tree depth (n = 2(2^{d+1}-1)).") in
+  let depth =
+    Arg.(value & opt pos_int 7 & info [ "depth" ] ~doc:"Tree depth (n = 2(2^{d+1}-1)).")
+  in
   let bandwidth = Arg.(value & opt int 32 & info [ "bandwidth"; "B" ] ~doc:"Bits per edge per round.") in
   let run depth bandwidth =
     let inst = Gap.make ~depth ~seed:42L in
@@ -411,27 +444,10 @@ let congest_cmd =
 (* --- check ----------------------------------------------------------------- *)
 
 let check_cmd =
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Master seed for the whole run.")
-  in
   let count =
     Arg.(
-      value & opt int 50
+      value & opt pos_int 50
       & info [ "count" ] ~docv:"N" ~doc:"Mutation-fuzzing rounds per problem.")
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Use each problem's small instance sizes.")
-  in
-  let json =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"PATH" ~doc:"Also write the report as JSON to $(docv).")
-  in
-  let only =
-    Arg.(
-      value & opt (some string) None
-      & info [ "only" ] ~docv:"SUBSTR"
-          ~doc:"Only check problems whose name contains $(docv) (case-insensitive).")
   in
   (* the library's probes, then the serving layer's (the shard probe
      spawns a 4-worker tier of this very binary), then the synthesizer's *)
@@ -478,8 +494,8 @@ let check_cmd =
           Fmt.epr "check: %s@." msg;
           2
       | Ok report ->
-        Fmt.pr "%a@." Vc_check.Report.pp report;
-        Option.iter (fun path -> Vc_check.Report.write_json report ~path) json;
+        if human json then Fmt.pr "%a@." Vc_check.Report.pp report;
+        emit_json json (Vc_check.Report.to_json report);
         if Vc_check.Report.ok report then 0
         else begin
           (* the seed is everything needed to reproduce the failure; the
@@ -511,8 +527,8 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:"Differential conformance and fuzzing oracle over all registered problems.")
     Term.(
-      const run $ seed $ count $ quick $ json $ only $ family_term $ probes $ metrics_term
-      $ jobs_term)
+      const run $ seed_term $ count $ quick_term $ json_term $ only_term $ family_term $ probes
+      $ metrics_term $ jobs_term)
 
 (* --- trace ----------------------------------------------------------------- *)
 
@@ -522,15 +538,6 @@ let trace_cmd =
       value
       & pos 0 (some string) None
       & info [] ~docv:"PROBLEM" ~doc:"Registry problem to record (e.g. leafcoloring).")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Master seed (as in check).")
-  in
-  let origin =
-    Arg.(value & opt int 0 & info [ "origin" ] ~docv:"V" ~doc:"Node whose run is recorded.")
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Use the problem's smallest quick size.")
   in
   let out =
     Arg.(
@@ -559,8 +566,8 @@ let trace_cmd =
     | None, Some problem -> (
         let path = match out with Some p -> p | None -> problem ^ ".trace.jsonl" in
         match
-          Vc_check.Oracle.record_trace ~seed:(Int64.of_int seed) ~quick ~problem ~origin ~path
-            ()
+          Vc_check.Oracle.record_trace ~seed:(Int64.of_int seed) ~quick ~problem
+            ~origin:(Option.value origin ~default:0) ~path ()
         with
         | Ok () ->
             Fmt.pr "wrote transcript %s@." path;
@@ -574,7 +581,7 @@ let trace_cmd =
        ~doc:
          "Record a reference solver's probe transcript as JSONL, or replay one and assert \
           bit-identical behaviour.")
-    Term.(const run $ problem $ seed $ origin $ quick $ out $ replay)
+    Term.(const run $ problem $ seed_term $ origin_term $ quick_term $ out $ replay)
 
 (* --- export ----------------------------------------------------------------- *)
 
@@ -586,8 +593,7 @@ let export_cmd =
           None
       & info [] ~docv:"PROBLEM" ~doc:"Instance family to render.")
   in
-  let n = Arg.(value & opt int 31 & info [ "n" ] ~doc:"Approximate instance size.") in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Instance seed.") in
+  let n = Arg.(value & opt pos_int 31 & info [ "n" ] ~doc:"Approximate instance size.") in
   let path = Arg.(value & opt string "instance.dot" & info [ "o" ] ~doc:"Output path.") in
   let run problem n seed path =
     let seed64 = Int64.of_int seed in
@@ -615,22 +621,14 @@ let export_cmd =
     0
   in
   Cmd.v (Cmd.info "export" ~doc:"Export an instance as Graphviz DOT.")
-    Term.(const run $ problem $ n $ seed $ path)
+    Term.(const run $ problem $ n $ seed_term $ path)
 
 (* --- list ------------------------------------------------------------------- *)
 
 let list_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the registry as JSON (the serve protocol's $(b,list) payload).")
-  in
   let run json =
     let entries = Vc_check.Registry.all () in
-    if json then
-      print_string (Json.to_string (Vc_serve.Protocol.list_payload entries) ^ "\n")
-    else begin
+    if human json then begin
       Fmt.pr "%-28s %-10s %-10s %-24s %-14s %s@." "problem" "family" "radius" "sizes"
         "quick sizes" "ir";
       List.iter
@@ -641,11 +639,13 @@ let list_cmd =
             (ints e.sizes) (ints e.quick_sizes) e.ir)
         entries
     end;
+    (* the JSON document is the serve protocol's list payload *)
+    emit_json json (Vc_serve.Protocol.list_payload entries);
     0
   in
   Cmd.v
     (Cmd.info "list" ~doc:"Print the conformance registry: problems, radii, instance sizes.")
-    Term.(const run $ json)
+    Term.(const run $ json_term)
 
 (* --- ir --------------------------------------------------------------------- *)
 
@@ -673,23 +673,11 @@ let ir_cmd =
   in
   let n =
     Arg.(
-      value & opt int 1024
+      value & opt pos_int 1024
       & info [ "n" ] ~docv:"N"
           ~doc:
             "Claimed instance size used to instantiate size-dependent programs \
              (cycle-coloring's walk length is $(b,rounds_needed n + 3)).")
-  in
-  let size =
-    Arg.(value & opt int 63 & info [ "size" ] ~docv:"N" ~doc:"Instance size for $(b,run).")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Instance seed for $(b,run).")
-  in
-  let origin =
-    Arg.(
-      value & opt (some int) None
-      & info [ "origin" ] ~docv:"V"
-          ~doc:"Run from this node only (default: batch over every node).")
   in
   let file =
     Arg.(
@@ -698,7 +686,6 @@ let ir_cmd =
           ~doc:"Validate a JSON-encoded program from $(docv) instead of a shipped one.")
   in
   let all = Arg.(value & flag & info [ "all" ] ~doc:"Validate every shipped program.") in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON.") in
   let run_ir action name n size seed origin file all json jobs =
     let fail fmt =
       Fmt.kstr
@@ -717,27 +704,7 @@ let ir_cmd =
             (fun nm -> Option.map (fun p -> (nm, p)) (Ir_lib.program ~name:nm ~n))
             (Ir_lib.names ())
         in
-        if json then
-          print_string
-            (Json.to_string
-               (Json.Obj
-                  [
-                    ( "programs",
-                      Json.List
-                        (List.map
-                           (fun (nm, (p : Ir.program)) ->
-                             Json.Obj
-                               [
-                                 ("name", Json.String nm);
-                                 ("instructions", Json.Int (Array.length p.Ir.code));
-                                 ("regs", Json.Int p.Ir.n_regs);
-                                 ("queues", Json.Int p.Ir.n_queues);
-                                 ("obs_arity", Json.Int p.Ir.obs_arity);
-                               ])
-                           progs) );
-                  ])
-            ^ "\n")
-        else begin
+        if human json then begin
           Fmt.pr "%-20s %6s %5s %6s %9s@." "program" "instrs" "regs" "queues" "obs arity";
           List.iter
             (fun (nm, (p : Ir.program)) ->
@@ -745,6 +712,23 @@ let ir_cmd =
                 p.Ir.n_queues p.Ir.obs_arity)
             progs
         end;
+        emit_json json
+          (Json.Obj
+             [
+               ( "programs",
+                 Json.List
+                   (List.map
+                      (fun (nm, (p : Ir.program)) ->
+                        Json.Obj
+                          [
+                            ("name", Json.String nm);
+                            ("instructions", Json.Int (Array.length p.Ir.code));
+                            ("regs", Json.Int p.Ir.n_regs);
+                            ("queues", Json.Int p.Ir.n_queues);
+                            ("obs_arity", Json.Int p.Ir.obs_arity);
+                          ])
+                      progs) );
+             ]);
         0
     | `Dump -> (
         match name with
@@ -753,8 +737,8 @@ let ir_cmd =
             match Ir_lib.program ~name:nm ~n with
             | None -> unknown nm
             | Some p ->
-                if json then print_string (Json.to_string (Ir.program_to_json p) ^ "\n")
-                else Fmt.pr "%a@." Ir.pp_program p;
+                if human json then Fmt.pr "%a@." Ir.pp_program p;
+                emit_json json (Ir.program_to_json p);
                 0))
     | `Validate ->
         let of_name nm =
@@ -781,47 +765,42 @@ let ir_cmd =
         if results = [] then fail "validate: expected a PROGRAM, --all or --file PATH"
         else begin
           let ok = List.for_all (fun (_, r) -> r = Ok ()) results in
-          if json then
-            print_string
-              (Json.to_string
-                 (Json.Obj
-                    [
-                      ("ok", Json.Bool ok);
-                      ( "programs",
-                        Json.List
-                          (List.map
-                             (fun (nm, r) ->
-                               Json.Obj
-                                 [
-                                   ("name", Json.String nm);
-                                   ("ok", Json.Bool (r = Ok ()));
-                                   ( "error",
-                                     match r with
-                                     | Ok () -> Json.Null
-                                     | Error e -> Json.String e );
-                                 ])
-                             results) );
-                    ])
-              ^ "\n")
-          else
+          if human json then
             List.iter
               (fun (nm, r) ->
                 match r with
                 | Ok () -> Fmt.pr "%s: ok@." nm
                 | Error e -> Fmt.pr "%s: INVALID: %s@." nm e)
               results;
+          emit_json json
+            (Json.Obj
+               [
+                 ("ok", Json.Bool ok);
+                 ( "programs",
+                   Json.List
+                     (List.map
+                        (fun (nm, r) ->
+                          Json.Obj
+                            [
+                              ("name", Json.String nm);
+                              ("ok", Json.Bool (r = Ok ()));
+                              ("error", match r with Ok () -> Json.Null | Error e -> Json.String e);
+                            ])
+                        results) );
+               ]);
           if ok then 0 else 1
         end
     | `Run -> (
         match name with
         | None -> fail "run: expected a PROGRAM name"
         | Some nm -> (
+            let size = Option.value size ~default:63 in
             match Ir_lib.instance ~name:nm ~size ~seed:(Int64.of_int seed) with
             | None -> unknown nm
             | Some (Ir_lib.Packed { spec; graph; input; world; solver; pp_output }) -> (
                 let nn = Graph.n graph in
                 match origin with
-                | Some v when v < 0 || v >= nn ->
+                | Some v when v >= nn ->
                     fail "origin %d out of range (instance has %d nodes)" v nn
                 | _ ->
                     let origins =
@@ -849,38 +828,10 @@ let ir_cmd =
                       agg (fun c (r : _ Probe.result) -> if r.Probe.aborted then c + 1 else c) 0
                     in
                     let total_queries = agg (fun s r -> s + r.Probe.queries) 0 in
-                    if json then begin
-                      let base =
-                        [
-                          ("program", Json.String nm);
-                          ("n", Json.Int nn);
-                          ("size", Json.Int size);
-                          ("seed", Json.Int seed);
-                          ("runs", Json.Int (Array.length origins));
-                          ("aborted", Json.Int aborted);
-                          ("max_volume", Json.Int (max_of (fun r -> r.Probe.volume)));
-                          ("max_distance", Json.Int (max_of (fun r -> r.Probe.distance)));
-                          ("max_queries", Json.Int (max_of (fun r -> r.Probe.queries)));
-                          ("total_queries", Json.Int total_queries);
-                          ("oracle_identical", Json.Bool !identical);
-                        ]
-                      in
-                      let fields =
-                        match origin with
-                        | Some v ->
-                            base
-                            @ [
-                                ("origin", Json.Int v);
-                                ( "output",
-                                  match results.(0).Probe.output with
-                                  | None -> Json.Null
-                                  | Some o -> Json.String (Fmt.str "%a" pp_output o) );
-                              ]
-                        | None -> base
-                      in
-                      print_string (Json.to_string (Json.Obj fields) ^ "\n")
-                    end
-                    else begin
+                    let max_volume = max_of (fun r -> r.Probe.volume)
+                    and max_distance = max_of (fun r -> r.Probe.distance)
+                    and max_queries = max_of (fun r -> r.Probe.queries) in
+                    if human json then begin
                       Fmt.pr "%s: n=%d size=%d seed=%d@." nm nn size seed;
                       (match origin with
                       | Some v ->
@@ -891,13 +842,38 @@ let ir_cmd =
                       Fmt.pr
                         "runs %d  aborted %d  max volume %d  max distance %d  max queries %d  \
                          total queries %d@."
-                        (Array.length origins) aborted
-                        (max_of (fun r -> r.Probe.volume))
-                        (max_of (fun r -> r.Probe.distance))
-                        (max_of (fun r -> r.Probe.queries))
+                        (Array.length origins) aborted max_volume max_distance max_queries
                         total_queries;
                       Fmt.pr "oracle identical: %b@." !identical
                     end;
+                    let at_origin =
+                      match origin with
+                      | Some v ->
+                          [
+                            ("origin", Json.Int v);
+                            ( "output",
+                              match results.(0).Probe.output with
+                              | None -> Json.Null
+                              | Some o -> Json.String (Fmt.str "%a" pp_output o) );
+                          ]
+                      | None -> []
+                    in
+                    emit_json json
+                      (Json.Obj
+                         ([
+                            ("program", Json.String nm);
+                            ("n", Json.Int nn);
+                            ("size", Json.Int size);
+                            ("seed", Json.Int seed);
+                            ("runs", Json.Int (Array.length origins));
+                            ("aborted", Json.Int aborted);
+                            ("max_volume", Json.Int max_volume);
+                            ("max_distance", Json.Int max_distance);
+                            ("max_queries", Json.Int max_queries);
+                            ("total_queries", Json.Int total_queries);
+                            ("oracle_identical", Json.Bool !identical);
+                          ]
+                         @ at_origin));
                     if !identical then 0 else 1)))
   in
   Cmd.v
@@ -907,8 +883,8 @@ let ir_cmd =
           program (text or JSON), validate programs (shipped or from a JSON file), or run \
           one through the batched executor with the closure solver as oracle.")
     Term.(
-      const run_ir $ action $ name_arg $ n $ size $ seed $ origin $ file $ all $ json
-      $ jobs_term)
+      const run_ir $ action $ name_arg $ n $ size_term $ seed_term $ origin_term $ file $ all
+      $ json_term $ jobs_term)
 
 (* --- snap ------------------------------------------------------------------- *)
 
@@ -924,31 +900,6 @@ let snap_cmd =
     Arg.(
       value & opt string "volcomp-snaps"
       & info [ "dir" ] ~docv:"DIR" ~doc:"Snapshot store directory.")
-  in
-  let only =
-    Arg.(
-      value & opt (some string) None
-      & info [ "only" ] ~docv:"SUBSTR"
-          ~doc:
-            "Restrict to problems ($(b,build)) or store files ($(b,rm)) whose name contains \
-             $(docv) (case-insensitive).")
-  in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"With $(b,build): use each problem's small instance sizes.")
-  in
-  let size =
-    Arg.(
-      value & opt (some int) None
-      & info [ "size" ] ~docv:"N"
-          ~doc:"With $(b,build): snapshot only this instance size (default: every registry \
-                size).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N" ~doc:"With $(b,build): instance seed to snapshot.")
   in
   let run action dir only family quick size seed =
     let store = Vc_check.Registry.store ~dir in
@@ -1046,7 +997,8 @@ let snap_cmd =
          "Manage the instance snapshot store: $(b,build) snapshots for registry problems, \
           $(b,ls) and $(b,verify) (full byte-level re-checksum) resident files, $(b,rm) \
           stale ones.  The same store plugs into $(b,volcomp serve --snap-dir).")
-    Term.(const run $ action $ dir $ only $ family_term $ quick $ size $ seed)
+    Term.(
+      const run $ action $ dir $ only_term $ family_term $ quick_term $ size_term $ seed_term)
 
 (* --- family ------------------------------------------------------------------ *)
 
@@ -1062,15 +1014,6 @@ let family_cmd =
       value & pos 1 (some string) None
       & info [] ~docv:"FAMILY" ~doc:"Family to build (see $(b,family list)).")
   in
-  let size =
-    Arg.(
-      value & opt int 36
-      & info [ "size" ] ~docv:"N" ~doc:"Approximate instance size for $(b,build).")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Instance seed for $(b,build).")
-  in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON.") in
   let problems_of fam =
     List.filter
       (fun (e : Vc_check.Registry.entry) -> e.family = fam)
@@ -1079,27 +1022,7 @@ let family_cmd =
   let run action fam_name size seed json jobs =
     match action with
     | `List ->
-        if json then begin
-          let fams =
-            List.map
-              (fun (i : Family.info) ->
-                Json.Obj
-                  [
-                    ("name", Json.String i.Family.f_name);
-                    ("description", Json.String i.Family.f_description);
-                    ("min_size", Json.Int i.Family.f_min_size);
-                    ("max_degree", Json.Int i.Family.f_max_degree);
-                    ( "problems",
-                      Json.List
-                        (List.map
-                           (fun (e : Vc_check.Registry.entry) -> Json.String e.name)
-                           (problems_of i.Family.f_name)) );
-                  ])
-              Family.all
-          in
-          print_string (Json.to_string (Json.Obj [ ("families", Json.List fams) ]) ^ "\n")
-        end
-        else
+        if human json then
           List.iter
             (fun (i : Family.info) ->
               Fmt.pr "%-12s min size %-4d max degree %-3d %s@." i.Family.f_name
@@ -1108,6 +1031,24 @@ let family_cmd =
                 (fun (e : Vc_check.Registry.entry) -> Fmt.pr "  %s@." e.name)
                 (problems_of i.Family.f_name))
             Family.all;
+        let fams =
+          List.map
+            (fun (i : Family.info) ->
+              Json.Obj
+                [
+                  ("name", Json.String i.Family.f_name);
+                  ("description", Json.String i.Family.f_description);
+                  ("min_size", Json.Int i.Family.f_min_size);
+                  ("max_degree", Json.Int i.Family.f_max_degree);
+                  ( "problems",
+                    Json.List
+                      (List.map
+                         (fun (e : Vc_check.Registry.entry) -> Json.String e.name)
+                         (problems_of i.Family.f_name)) );
+                ])
+            Family.all
+        in
+        emit_json json (Json.Obj [ ("families", Json.List fams) ]);
         0
     | `Build -> (
         match fam_name with
@@ -1122,6 +1063,7 @@ let family_cmd =
                      (List.map (fun (i : Family.info) -> i.Family.f_name) Family.all));
                 2
             | Some info ->
+                let size = Option.value size ~default:36 in
                 let seed64 = Int64.of_int seed in
                 let g = info.Family.f_build ~size ~seed:seed64 in
                 let entries = problems_of info.Family.f_name in
@@ -1139,62 +1081,12 @@ let family_cmd =
                           (e, trial.Vc_check.Registry.t_n, outcomes))
                         entries)
                 in
-                let all_valid =
+                let valid outcomes =
                   List.for_all
-                    (fun (_, _, outcomes) ->
-                      List.for_all
-                        (fun (o : Vc_check.Registry.solver_outcome) ->
-                          o.Vc_check.Registry.valid)
-                        outcomes)
-                    rows
+                    (fun (o : Vc_check.Registry.solver_outcome) -> o.Vc_check.Registry.valid)
+                    outcomes
                 in
-                if json then begin
-                  let problems =
-                    List.map
-                      (fun ((e : Vc_check.Registry.entry), n, outcomes) ->
-                        Json.Obj
-                          [
-                            ("name", Json.String e.name);
-                            ("n", Json.Int n);
-                            ( "valid",
-                              Json.Bool
-                                (List.for_all
-                                   (fun (o : Vc_check.Registry.solver_outcome) ->
-                                     o.Vc_check.Registry.valid)
-                                   outcomes) );
-                            ( "solvers",
-                              Json.List
-                                (List.map
-                                   (fun (o : Vc_check.Registry.solver_outcome) ->
-                                     Json.Obj
-                                       [
-                                         ("name", Json.String o.Vc_check.Registry.solver);
-                                         ("valid", Json.Bool o.Vc_check.Registry.valid);
-                                         ( "max_volume",
-                                           Json.Int
-                                             o.Vc_check.Registry.stats.Runner.max_volume );
-                                         ( "max_distance",
-                                           Json.Int
-                                             o.Vc_check.Registry.stats.Runner.max_distance );
-                                       ])
-                                   outcomes) );
-                          ])
-                      rows
-                  in
-                  print_string
-                    (Json.to_string
-                       (Json.Obj
-                          [
-                            ("family", Json.String info.Family.f_name);
-                            ("size", Json.Int size);
-                            ("seed", Json.String (Int64.to_string seed64));
-                            ("n", Json.Int (Graph.n g));
-                            ("max_degree", Json.Int (Graph.max_degree g));
-                            ("problems", Json.List problems);
-                          ])
-                    ^ "\n")
-                end
-                else begin
+                if human json then begin
                   Fmt.pr "family %s: n %d, max degree %d (size %d, seed %Ld)@."
                     info.Family.f_name (Graph.n g) (Graph.max_degree g) size seed64;
                   List.iter
@@ -1209,7 +1101,42 @@ let family_cmd =
                         outcomes)
                     rows
                 end;
-                if all_valid then 0 else 1))
+                let problems =
+                  List.map
+                    (fun ((e : Vc_check.Registry.entry), n, outcomes) ->
+                      Json.Obj
+                        [
+                          ("name", Json.String e.name);
+                          ("n", Json.Int n);
+                          ("valid", Json.Bool (valid outcomes));
+                          ( "solvers",
+                            Json.List
+                              (List.map
+                                 (fun (o : Vc_check.Registry.solver_outcome) ->
+                                   Json.Obj
+                                     [
+                                       ("name", Json.String o.Vc_check.Registry.solver);
+                                       ("valid", Json.Bool o.Vc_check.Registry.valid);
+                                       ( "max_volume",
+                                         Json.Int o.Vc_check.Registry.stats.Runner.max_volume );
+                                       ( "max_distance",
+                                         Json.Int o.Vc_check.Registry.stats.Runner.max_distance );
+                                     ])
+                                 outcomes) );
+                        ])
+                    rows
+                in
+                emit_json json
+                  (Json.Obj
+                     [
+                       ("family", Json.String info.Family.f_name);
+                       ("size", Json.Int size);
+                       ("seed", Json.String (Int64.to_string seed64));
+                       ("n", Json.Int (Graph.n g));
+                       ("max_degree", Json.Int (Graph.max_degree g));
+                       ("problems", Json.List problems);
+                     ]);
+                if List.for_all (fun (_, _, outcomes) -> valid outcomes) rows then 0 else 1))
   in
   Cmd.v
     (Cmd.info "family"
@@ -1217,7 +1144,7 @@ let family_cmd =
          "Graph families beyond paths and trees: $(b,list) the builders and their \
           registered problems, or $(b,build) a seeded instance and run + validate every \
           problem of the family on it.")
-    Term.(const run $ action $ fam_name $ size $ seed $ json $ jobs_term)
+    Term.(const run $ action $ fam_name $ size_term $ seed_term $ json_term $ jobs_term)
 
 (* --- serve ------------------------------------------------------------------- *)
 
@@ -1235,24 +1162,15 @@ let tcp_term =
 let serve_cmd =
   let cache =
     Arg.(
-      value & opt int 8
+      value & opt pos_int 8
       & info [ "cache" ] ~docv:"N" ~doc:"Capacity of the warm (problem, size, seed) session cache.")
   in
   let queue_depth =
     Arg.(
-      value & opt int 64
+      value & opt pos_int 64
       & info [ "queue-depth" ] ~docv:"N"
           ~doc:"Bound on accepted-but-undispatched requests; beyond it the daemon sheds load \
                 with structured $(b,overloaded) errors.")
-  in
-  let workers =
-    Arg.(
-      value & opt int 0
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Shard the daemon across $(docv) worker processes: requests are routed by a \
-             consistent hash of their (problem, size, seed) session key, a dead worker is \
-             respawned and its warm sessions rebuilt.  0 (the default) serves in-process.")
   in
   let worker =
     Arg.(
@@ -1272,7 +1190,7 @@ let serve_cmd =
              $(b,--workers) every shard worker shares the same store — including post-crash \
              re-warms.")
   in
-  let run socket tcp cache queue_depth workers worker snap_dir jobs =
+  let run socket tcp cache queue_depth workers worker snap_dir explicit_jobs jobs =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     (* the daemon always accounts: request counters and latency
        histograms feed the stats request and the loadgen report *)
@@ -1299,8 +1217,9 @@ let serve_cmd =
         if workers > 0 then begin
           Fmt.pr "volcomp serve: %d shard worker(s)@." workers;
           let spawn =
+            (* shard workers run single-domain unless -j says otherwise *)
             Vc_serve.Supervisor.exec_spawn
-              ~jobs:(Option.value jobs ~default:1)
+              ~jobs:(Option.value explicit_jobs ~default:1)
               ?snap_dir ~cache ~queue_depth Sys.executable_name
           in
           Vc_serve.Supervisor.run ~workers ~cache_capacity:cache ~queue_depth ~spawn
@@ -1324,8 +1243,8 @@ let serve_cmd =
           cache, request batching across worker domains, per-request deadlines, explicit \
           load shedding, and optional multi-process sharding ($(b,--workers)).")
     Term.(
-      const run $ socket_term $ tcp_term $ cache $ queue_depth $ workers $ worker $ snap_dir
-      $ jobs_term)
+      const run $ socket_term $ tcp_term $ cache $ queue_depth $ workers_term $ worker
+      $ snap_dir $ jobs_arg $ jobs_term)
 
 (* --- loadgen ----------------------------------------------------------------- *)
 
@@ -1336,18 +1255,14 @@ let loadgen_cmd =
       & info [ "spawn" ]
           ~doc:"Start a private $(b,volcomp serve) on the socket, drive it, shut it down.")
   in
-  let spawn_workers =
-    Arg.(
-      value & opt int 0
-      & info [ "workers" ] ~docv:"N"
-          ~doc:"With $(b,--spawn): start the private server sharded across $(docv) workers.")
-  in
   let clients =
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc:"Concurrent closed-loop clients.")
+    Arg.(
+      value & opt pos_int 4
+      & info [ "clients" ] ~docv:"N" ~doc:"Concurrent closed-loop clients.")
   in
   let rate =
     Arg.(
-      value & opt (some float) None
+      value & opt (some pos_float) None
       & info [ "rate" ] ~docv:"RPS"
           ~doc:
             "Open-loop mode: requests arrive as a Poisson process at $(docv) requests/s \
@@ -1356,14 +1271,15 @@ let loadgen_cmd =
   in
   let conns =
     Arg.(
-      value & opt (some int) None
+      value & opt (some pos_int) None
       & info [ "conns" ] ~docv:"N"
           ~doc:
             "Open-loop connection fan-out (default: one per shard the server reports, 1 \
              for a single-process server).")
   in
   let requests =
-    Arg.(value & opt int 64 & info [ "requests" ] ~docv:"N" ~doc:"Total requests to send.")
+    Arg.(
+      value & opt nonneg_int 64 & info [ "requests" ] ~docv:"N" ~doc:"Total requests to send.")
   in
   let mix =
     Arg.(
@@ -1371,9 +1287,6 @@ let loadgen_cmd =
       & info [ "mix" ] ~docv:"SPEC"
           ~doc:"Weighted request mix, e.g. $(b,probe:4,solve:1) (kinds: solve, probe, trace, \
                 warm, list, stats).")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Seed for the request plan.")
   in
   let deadline =
     Arg.(
@@ -1396,11 +1309,6 @@ let loadgen_cmd =
              the measured phase, so instance construction is never charged to the first \
              unlucky request of a session.  The summary reports how many sessions were \
              cold.")
-  in
-  let json =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"PATH" ~doc:"Also write the summary as JSON to $(docv).")
   in
   let run socket tcp spawn spawn_workers clients requests rate conns mix_s seed deadline
       no_verify prewarm json =
@@ -1466,15 +1374,6 @@ let loadgen_cmd =
           | _, None -> ());
           if spawn && tcp = None then (try Unix.unlink socket with Unix.Unix_error _ -> ())
         in
-        let write_json to_json s path =
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              output_string oc (Json.to_string (to_json s));
-              output_char oc '\n');
-          Fmt.pr "wrote %s@." path
-        in
         match rate with
         | None -> (
             let cfg =
@@ -1495,8 +1394,8 @@ let loadgen_cmd =
                 Fmt.epr "loadgen: %s@." msg;
                 1
             | Ok s ->
-                Fmt.pr "%a" Vc_serve.Loadgen.pp_summary s;
-                Option.iter (write_json Vc_serve.Loadgen.summary_to_json s) json;
+                if human json then Fmt.pr "%a" Vc_serve.Loadgen.pp_summary s;
+                emit_json json (Vc_serve.Loadgen.summary_to_json s);
                 if s.Vc_serve.Loadgen.s_mismatches = 0 then 0 else 1)
         | Some o_rate -> (
             let cfg =
@@ -1518,8 +1417,8 @@ let loadgen_cmd =
                 Fmt.epr "loadgen: %s@." msg;
                 1
             | Ok s ->
-                Fmt.pr "%a" Vc_serve.Loadgen.pp_open_summary s;
-                Option.iter (write_json Vc_serve.Loadgen.open_summary_to_json s) json;
+                if human json then Fmt.pr "%a" Vc_serve.Loadgen.pp_open_summary s;
+                emit_json json (Vc_serve.Loadgen.open_summary_to_json s);
                 if s.Vc_serve.Loadgen.os_mismatches = 0 then 0 else 1))
   in
   Cmd.v
@@ -1530,8 +1429,8 @@ let loadgen_cmd =
           against in-process computation, and report p50/p95/p99 latency per request kind \
           (plus achieved throughput and shed rate in open-loop mode).")
     Term.(
-      const run $ socket_term $ tcp_term $ spawn $ spawn_workers $ clients $ requests $ rate
-      $ conns $ mix $ seed $ deadline $ no_verify $ prewarm $ json)
+      const run $ socket_term $ tcp_term $ spawn $ workers_term $ clients $ requests $ rate
+      $ conns $ mix $ seed_term $ deadline $ no_verify $ prewarm $ json_term)
 
 (* --- synth ------------------------------------------------------------------ *)
 
@@ -1561,16 +1460,16 @@ let synth_cmd =
   in
   let sizes =
     Arg.(
-      value & opt (some string) None
+      value & opt (some (list int)) None
       & info [ "sizes" ] ~docv:"LIST"
           ~doc:
             "Comma-separated node counts: keep only corpus instances with that many \
              nodes (default: the full pinned corpus).")
   in
-  let seed =
+  let shuffle =
     Arg.(
       value & opt int 0
-      & info [ "seed" ] ~docv:"N"
+      & info [ "shuffle" ] ~docv:"N"
           ~doc:
             "Deterministically shuffle the CEGIS corpus order ($(b,0) keeps the pinned \
              order).  Verdicts must not depend on it; witnesses and iteration counts may.")
@@ -1590,11 +1489,6 @@ let synth_cmd =
       & info [ "expect" ] ~docv:"VERDICT"
           ~doc:"Exit non-zero unless every verdict is $(docv) (sat or unsat).")
   in
-  let json =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"PATH" ~doc:"Write the verdict table as JSON to $(docv).")
-  in
   let dimacs_out =
     Arg.(
       value & opt (some string) None
@@ -1603,7 +1497,7 @@ let synth_cmd =
             "Write the final CNF as DIMACS to $(docv) for external cross-checking \
              (single $(b,--volume) runs only).")
   in
-  let run problem volume radius sizes seed certify expect json dimacs_out =
+  let run problem volume radius sizes shuffle certify expect json dimacs_out =
     let all = Classify.specs () in
     let specs =
       match problem with
@@ -1617,13 +1511,7 @@ let synth_cmd =
       2
     end
     else begin
-      let size_list =
-        Option.map
-          (fun s ->
-            List.filter_map int_of_string_opt (String.split_on_char ',' s))
-          sizes
-      in
-      (* --sizes trims the pinned corpus; --seed permutes what is left.
+      (* --sizes trims the pinned corpus; --shuffle permutes what is left.
          Both act on the certificate family only — the encoding and the
          verdict logic are untouched, so a verdict flip under either flag
          is a finding about the corpus, not a bug knob. *)
@@ -1631,11 +1519,11 @@ let synth_cmd =
         let s = match radius with None -> s | Some r -> { s with Classify.s_radius = r } in
         let (Encode.U u) = s.Classify.s_universe in
         let keep (_, g, _) =
-          match size_list with None -> true | Some szs -> List.mem (Graph.n g) szs
+          match sizes with None -> true | Some szs -> List.mem (Graph.n g) szs
         in
         let insts = Array.of_list (List.filter keep (Array.to_list u.instances)) in
-        if seed <> 0 then begin
-          let rng = Vc_rng.Splitmix.create (Int64.of_int seed) in
+        if shuffle <> 0 then begin
+          let rng = Vc_rng.Splitmix.create (Int64.of_int shuffle) in
           for i = Array.length insts - 1 downto 1 do
             let j = Vc_rng.Splitmix.int rng ~bound:(i + 1) in
             let t = insts.(i) in
@@ -1673,15 +1561,8 @@ let synth_cmd =
           Fmt.epr "synth: %s@." msg;
           2
       | Ok verdicts ->
-          List.iter (fun v -> Fmt.pr "%a@." Classify.pp_verdict v) verdicts;
-          Option.iter
-            (fun path ->
-              let oc = open_out path in
-              output_string oc (Json.to_string (Classify.table_json verdicts));
-              output_char oc '\n';
-              close_out oc;
-              Fmt.pr "wrote %s@." path)
-            json;
+          if human json then List.iter (fun v -> Fmt.pr "%a@." Classify.pp_verdict v) verdicts;
+          emit_json json (Classify.table_json verdicts);
           let certified =
             List.for_all (fun v -> v.Classify.v_report.Encode.certified <> Some false) verdicts
             || begin
@@ -1710,7 +1591,7 @@ let synth_cmd =
           each problem's checker on its certificate corpus, or prove the budget \
           infeasible.")
     Term.(
-      const run $ problem $ volume $ radius $ sizes $ seed $ certify $ expect $ json
+      const run $ problem $ volume $ radius $ sizes $ shuffle $ certify $ expect $ json_term
       $ dimacs_out)
 
 let () =

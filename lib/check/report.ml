@@ -138,21 +138,12 @@ let problem_json p =
     ]
 
 let to_json t =
-  Json.to_string
-    (Json.Obj
-       [
-         ("seed", Json.I64 t.seed);
-         ("count", Json.Int t.count);
-         ("domains", Json.Int t.domains);
-         ("quick", Json.Bool t.quick);
-         ("ok", Json.Bool (ok t));
-         ("problems", Json.List (List.map problem_json t.problems));
-       ])
-
-let write_json t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_json t);
-      output_char oc '\n')
+  Json.Obj
+    [
+      ("seed", Json.I64 t.seed);
+      ("count", Json.Int t.count);
+      ("domains", Json.Int t.domains);
+      ("quick", Json.Bool t.quick);
+      ("ok", Json.Bool (ok t));
+      ("problems", Json.List (List.map problem_json t.problems));
+    ]

@@ -65,6 +65,4 @@ val ok : t -> bool
 val pp : Format.formatter -> t -> unit
 (** Human summary: one block per problem plus a final verdict line. *)
 
-val to_json : t -> string
-
-val write_json : t -> path:string -> unit
+val to_json : t -> Vc_obs.Json.t
