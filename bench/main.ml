@@ -386,6 +386,8 @@ let ir_speedup r = r.i_closure_ns /. r.i_batched_ns
    registry-checked oracle pairs (oracle probe [ir] proves them result-identical),
    so this is a pure same-answer throughput comparison: one
    [run_batch_into] over a sink versus one [Probe.run] per origin. *)
+let ir_rounds = 7
+
 let run_ir_micro () =
   let row ~name ~gate ~none spec ~graph ~input ~world ~(solver : (_, _) Lcl.solver) ~count =
     let origins = Array.of_list (Runner.sample_origins graph ~count ~seed:7L) in
@@ -397,16 +399,18 @@ let run_ir_micro () =
         origins
     in
     let k = float_of_int (Array.length origins) in
-    (* Min-of-3 per side: the min of repeated >= 50ms windows discards GC
-       pauses and scheduler interference, which otherwise wobble the gated
-       ratio by +-15% on a busy host. *)
-    let min3 f = Float.min (time_ns f) (Float.min (time_ns f) (time_ns f)) in
-    {
-      i_name = name;
-      i_batched_ns = min3 batched /. k;
-      i_closure_ns = min3 closure /. k;
-      i_gate = gate;
-    }
+    (* Min-of-[ir_rounds] per side, the sides interleaved in alternating
+       order: the min of repeated >= 50ms windows discards GC pauses and
+       scheduler interference, and interleaving lets both sides sample the
+       same quiet stretches of a busy host.  (Min-of-3 timed one side
+       after the other read 7.3x-15.8x on one ~11x row.) *)
+    let b = ref infinity and c = ref infinity in
+    let time_b () = b := Float.min !b (time_ns batched)
+    and time_c () = c := Float.min !c (time_ns closure) in
+    for i = 0 to ir_rounds - 1 do
+      if i mod 2 = 0 then (time_b (); time_c ()) else (time_c (); time_b ())
+    done;
+    { i_name = name; i_batched_ns = !b /. k; i_closure_ns = !c /. k; i_gate = gate }
   in
   let parity =
     let g = Builder.complete_binary_tree ~depth:15 in
@@ -687,14 +691,19 @@ type obs_overhead = {
 
 let obs_gate = 1.05
 
-let obs_pairs = 9
+(* An even count, so each order leads in half the pairs; single pair
+   ratios spread +-30% on a shared host, and the median of nine crossed
+   1.05 in several runs there. *)
+let obs_pairs = 20
 
 let obs_ok o = o.oo_ratio <= obs_gate
 
+(* The mean of the middle two for an even count. *)
 let median xs =
   let a = Array.copy xs in
   Array.sort compare a;
-  a.(Array.length a / 2)
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
 (* The metrics counters compile into every hot path, so a literally
    uninstrumented binary no longer exists to time against.  What the 5%
