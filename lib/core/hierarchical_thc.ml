@@ -197,19 +197,38 @@ let problem ~k : (node_input, output) Lcl.t =
 
 (* --- instance generators ------------------------------------------------ *)
 
-(* Structural description accumulated while generating: for each node its
-   parent/left/right targets as node options. *)
+(* Generation state: one int column per pointer, indexed by node and
+   holding the target node, or -1 for ⊥.  [new_node] extends the
+   columns (doubling their capacity) and generation writes each pointer
+   once. *)
 type builder = {
-  mutable parent_of : (int * int) list;  (* (node, parent) *)
-  mutable left_of : (int * int) list;
-  mutable right_of : (int * int) list;
+  mutable parent : int array;
+  mutable left : int array;
+  mutable right : int array;
   mutable next : int;
 }
 
+let fresh_builder () = { parent = [||]; left = [||]; right = [||]; next = 0 }
+
 let new_node b =
   let v = b.next in
+  if v = Array.length b.parent then begin
+    let grow col = Array.append col (Array.make (max 64 v) (-1)) in
+    b.parent <- grow b.parent;
+    b.left <- grow b.left;
+    b.right <- grow b.right
+  end;
   b.next <- v + 1;
   v
+
+(* [u]'s left (backbone) or right (hung subtree) child is [w]. *)
+let set_left b u w =
+  b.left.(u) <- w;
+  b.parent.(w) <- u
+
+let set_right b u w =
+  b.right.(u) <- w;
+  b.parent.(w) <- u
 
 (* Build one level-[l] component: a backbone (path, or cycle when [cyclic])
    of [len l] nodes; every backbone node of level >= 2 hangs a fresh
@@ -219,37 +238,22 @@ let rec gen_component b ~len ~cyclic l =
   let size = max 1 (len l) in
   let backbone = Array.init size (fun _ -> new_node b) in
   for i = 0 to size - 2 do
-    b.left_of <- (backbone.(i), backbone.(i + 1)) :: b.left_of;
-    b.parent_of <- (backbone.(i + 1), backbone.(i)) :: b.parent_of
+    set_left b backbone.(i) backbone.(i + 1)
   done;
-  if cyclic && size >= 3 then begin
-    b.left_of <- (backbone.(size - 1), backbone.(0)) :: b.left_of;
-    b.parent_of <- (backbone.(0), backbone.(size - 1)) :: b.parent_of
-  end;
+  if cyclic && size >= 3 then set_left b backbone.(size - 1) backbone.(0);
   if l >= 2 then
-    Array.iter
-      (fun v ->
-        let sub_root = gen_component b ~len ~cyclic:false (l - 1) in
-        b.right_of <- (v, sub_root) :: b.right_of;
-        b.parent_of <- (sub_root, v) :: b.parent_of)
-      backbone;
+    Array.iter (fun v -> set_right b v (gen_component b ~len ~cyclic:false (l - 1))) backbone;
   backbone.(0)
 
+(* The graph's edges are the child pointers; every parent pointer is the
+   reverse of one.  Node [v]'s ports list its neighbours in ascending
+   node index (see {!Vc_graph.Builder.of_pointers}), and each pointer's
+   port comes from a scan of that row. *)
 let finish b ~k ~seed =
   let n = b.next in
-  let edges =
-    List.sort_uniq compare
-      (List.map
-         (fun (v, u) -> (min v u, max v u))
-         (b.left_of @ b.right_of))
-  in
-  let g = Graph.of_edges ~n edges in
-  let assoc l = (let tbl = Hashtbl.create (List.length l) in
-                 List.iter (fun (v, u) -> Hashtbl.replace tbl v u) l;
-                 fun v -> Hashtbl.find_opt tbl v)
-  in
-  let parent = assoc b.parent_of and left = assoc b.left_of and right = assoc b.right_of in
-  let labels = TL.of_structure g ~parent ~left ~right in
+  let g = Vc_graph.Builder.of_pointers ~n [ b.left; b.right ] in
+  let ptr col v = if col.(v) < 0 then None else Some col.(v) in
+  let labels = TL.of_structure g ~parent:(ptr b.parent) ~left:(ptr b.left) ~right:(ptr b.right) in
   let rng = Splitmix.create seed in
   let colors = Array.init n (fun _ -> if Splitmix.bool rng then TL.Red else TL.Blue) in
   { base = Leaf_coloring.of_tree g labels ~colors; k }
@@ -257,13 +261,13 @@ let finish b ~k ~seed =
 let uniform_instance ~k ~len ~seed =
   if k < 1 then invalid_arg "Hierarchical_thc.uniform_instance: k must be >= 1";
   if len < 1 then invalid_arg "Hierarchical_thc.uniform_instance: len must be >= 1";
-  let b = { parent_of = []; left_of = []; right_of = []; next = 0 } in
+  let b = fresh_builder () in
   ignore (gen_component b ~len:(fun _ -> len) ~cyclic:false k);
   finish b ~k ~seed
 
 let cycle_backbone_instance ~k ~len ~seed =
   if len < 3 then invalid_arg "Hierarchical_thc.cycle_backbone_instance: len must be >= 3";
-  let b = { parent_of = []; left_of = []; right_of = []; next = 0 } in
+  let b = fresh_builder () in
   ignore (gen_component b ~len:(fun _ -> len) ~cyclic:true k);
   finish b ~k ~seed
 
@@ -295,7 +299,7 @@ let hard_instance ~k ~target_n ~seed =
      the component declines *)
   let prefix_run_len = backbone_len in
   let shallow_len = max 1 (r / 8) in
-  let b = { parent_of = []; left_of = []; right_of = []; next = 0 } in
+  let b = fresh_builder () in
   let rec gen_hard l =
     if l = 1 then gen_component b ~len:(fun _ -> backbone_len) ~cyclic:false 1
     else begin
@@ -304,17 +308,13 @@ let hard_instance ~k ~target_n ~seed =
       in
       let backbone = Array.init backbone_len (fun _ -> new_node b) in
       for i = 0 to backbone_len - 2 do
-        b.left_of <- (backbone.(i), backbone.(i + 1)) :: b.left_of;
-        b.parent_of <- (backbone.(i + 1), backbone.(i)) :: b.parent_of
+        set_left b backbone.(i) backbone.(i + 1)
       done;
       Array.iteri
         (fun i v ->
-          let sub_root =
-            if i >= run_start && i < run_start + run_len then gen_hard (l - 1)
-            else gen_component b ~len:(fun _ -> shallow_len) ~cyclic:false (l - 1)
-          in
-          b.right_of <- (v, sub_root) :: b.right_of;
-          b.parent_of <- (sub_root, v) :: b.parent_of)
+          set_right b v
+            (if i >= run_start && i < run_start + run_len then gen_hard (l - 1)
+             else gen_component b ~len:(fun _ -> shallow_len) ~cyclic:false (l - 1)))
         backbone;
       backbone.(0)
     end

@@ -206,20 +206,36 @@ let problem ~k : (node_input, output) Lcl.t =
 
 (* --- instance generators -------------------------------------------------- *)
 
+(* Generation state, as in Hierarchical-THC: one int column per pointer
+   (the target node, or -1 for ⊥) plus the level column, all indexed by
+   node.  [new_node] extends the columns (doubling their capacity) and
+   generation writes each entry once. *)
 type builder = {
-  mutable parent_of : (int * int) list;
-  mutable left_of : (int * int) list;
-  mutable right_of : (int * int) list;
-  mutable ln_of : (int * int) list;
-  mutable rn_of : (int * int) list;
-  mutable level_of : (int * int) list;
+  mutable parent : int array;
+  mutable left : int array;
+  mutable right : int array;
+  mutable ln : int array;
+  mutable rn : int array;
+  mutable level : int array;
   mutable next : int;
 }
 
+let fresh_builder () =
+  { parent = [||]; left = [||]; right = [||]; ln = [||]; rn = [||]; level = [||]; next = 0 }
+
 let new_node b l =
   let v = b.next in
+  if v = Array.length b.level then begin
+    let grow col = Array.append col (Array.make (max 64 v) (-1)) in
+    b.parent <- grow b.parent;
+    b.left <- grow b.left;
+    b.right <- grow b.right;
+    b.ln <- grow b.ln;
+    b.rn <- grow b.rn;
+    b.level <- grow b.level
+  end;
   b.next <- v + 1;
-  b.level_of <- (v, l) :: b.level_of;
+  b.level.(v) <- l;
   v
 
 (* A fully compatible BalancedTree of the given depth, all nodes at
@@ -234,92 +250,76 @@ let gen_bt b ~depth ~parent =
   for i = 0 to size - 1 do
     let l = (2 * i) + 1 and r = (2 * i) + 2 in
     if l < size then begin
-      b.left_of <- (node i, node l) :: b.left_of;
-      b.parent_of <- (node l, node i) :: b.parent_of
+      b.left.(node i) <- node l;
+      b.parent.(node l) <- node i
     end;
     if r < size then begin
-      b.right_of <- (node i, node r) :: b.right_of;
-      b.parent_of <- (node r, node i) :: b.parent_of
+      b.right.(node i) <- node r;
+      b.parent.(node r) <- node i
     end
   done;
   (* lateral pointers between consecutive nodes of each depth row *)
   for d = 1 to depth do
     let first = (1 lsl d) - 1 in
     for i = 0 to (1 lsl d) - 2 do
-      b.rn_of <- (node (first + i), node (first + i + 1)) :: b.rn_of;
-      b.ln_of <- (node (first + i + 1), node (first + i)) :: b.ln_of
+      b.rn.(node (first + i)) <- node (first + i + 1);
+      b.ln.(node (first + i + 1)) <- node (first + i)
     done
   done;
-  b.parent_of <- (node 0, parent) :: b.parent_of;
+  b.parent.(node 0) <- parent;
   node 0
 
-let rec gen_backbone b ~k ~len l ~sub =
+let rec gen_backbone b ~len l ~sub =
   let backbone = Array.init (max 1 len) (fun _ -> new_node b l) in
   for i = 0 to Array.length backbone - 2 do
-    b.left_of <- (backbone.(i), backbone.(i + 1)) :: b.left_of;
-    b.parent_of <- (backbone.(i + 1), backbone.(i)) :: b.parent_of
+    b.left.(backbone.(i)) <- backbone.(i + 1);
+    b.parent.(backbone.(i + 1)) <- backbone.(i)
   done;
   Array.iteri
     (fun i v ->
       let root = sub ~parent:v ~level:(l - 1) ~index:i in
-      b.right_of <- (v, root) :: b.right_of;
-      if l - 1 > 1 then b.parent_of <- (root, v) :: b.parent_of)
+      b.right.(v) <- root;
+      if l - 1 > 1 then b.parent.(root) <- v)
     backbone;
-  ignore k;
   backbone.(0)
 
-and gen_uniform b ~k ~len ~bt_depth l ~parent =
+and gen_uniform b ~len ~bt_depth l ~parent =
   if l = 1 then gen_bt b ~depth:bt_depth ~parent
   else
-    gen_backbone b ~k ~len l ~sub:(fun ~parent ~level ~index:_ ->
-        gen_uniform b ~k ~len ~bt_depth level ~parent)
+    gen_backbone b ~len l ~sub:(fun ~parent ~level ~index:_ ->
+        gen_uniform b ~len ~bt_depth level ~parent)
 
+(* The graph's edges are the child, lateral and parent pointers (each
+   left-neighbour pointer is the reverse of a right-neighbour one).
+   Node [v]'s ports list its neighbours in ascending node index (see
+   {!Vc_graph.Builder.of_pointers}), and each pointer's port comes from
+   a scan of that row. *)
 let finish b ~k ~seed =
   let n = b.next in
-  let undirected l = List.map (fun (v, u) -> (min v u, max v u)) l in
-  let edges =
-    List.sort_uniq compare
-      (undirected b.left_of @ undirected b.right_of @ undirected b.rn_of
-     @ undirected b.parent_of)
-  in
-  let g = Graph.of_edges ~n edges in
-  let assoc l =
-    let tbl = Hashtbl.create (List.length l) in
-    List.iter (fun (v, u) -> Hashtbl.replace tbl v u) l;
-    fun v -> Hashtbl.find_opt tbl v
-  in
-  let parent = assoc b.parent_of
-  and left = assoc b.left_of
-  and right = assoc b.right_of
-  and ln = assoc b.ln_of
-  and rn = assoc b.rn_of
-  and level = assoc b.level_of in
+  let g = Vc_graph.Builder.of_pointers ~n [ b.left; b.right; b.rn; b.parent ] in
   let rng = Splitmix.create seed in
-  let port v = function
-    | None -> TL.bot
-    | Some u -> ( match Graph.port_to g v u with Some p -> p | None -> TL.bot)
+  let port col v =
+    let u = col.(v) in
+    if u < 0 then TL.bot else match Graph.port_to g v u with Some p -> p | None -> TL.bot
   in
   let labels =
     Array.init n (fun v ->
         {
-          parent = port v (parent v);
-          left = port v (left v);
-          right = port v (right v);
-          left_nbr = port v (ln v);
-          right_nbr = port v (rn v);
+          parent = port b.parent v;
+          left = port b.left v;
+          right = port b.right v;
+          left_nbr = port b.ln v;
+          right_nbr = port b.rn v;
           color = (if Splitmix.bool rng then TL.Red else TL.Blue);
-          level = (match level v with Some l -> l | None -> 1);
+          level = b.level.(v);
         })
   in
   { graph = g; labels; k }
 
-let fresh_builder () =
-  { parent_of = []; left_of = []; right_of = []; ln_of = []; rn_of = []; level_of = []; next = 0 }
-
 let uniform_instance ~k ~len ~bt_depth ~seed =
   if k < 2 then invalid_arg "Hybrid_thc.uniform_instance: k must be >= 2";
   let b = fresh_builder () in
-  ignore (gen_uniform b ~k ~len ~bt_depth k ~parent:(-1));
+  ignore (gen_uniform b ~len ~bt_depth k ~parent:(-1));
   finish b ~k ~seed
 
 let hard_instance ~k ~target_n ~seed =
@@ -340,10 +340,10 @@ let hard_instance ~k ~target_n ~seed =
   let rec gen_hard l ~parent =
     if l = 1 then gen_bt b ~depth:big_depth ~parent
     else
-      gen_backbone b ~k ~len:backbone_len l ~sub:(fun ~parent ~level ~index ->
+      gen_backbone b ~len:backbone_len l ~sub:(fun ~parent ~level ~index ->
           if index >= run_start && index < run_start + run_len then gen_hard level ~parent
           else if level = 1 then gen_bt b ~depth:small_depth ~parent
-          else gen_uniform b ~k ~len:2 ~bt_depth:small_depth level ~parent)
+          else gen_uniform b ~len:2 ~bt_depth:small_depth level ~parent)
   in
   let top = gen_hard k ~parent:(-1) in
   let inst = finish b ~k ~seed in

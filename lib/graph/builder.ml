@@ -101,20 +101,95 @@ let random_binary_tree ~n:requested ~rng =
   let ids = Array.init count (fun v -> v + 1) in
   Graph.create ~ids ~adj
 
+(* Concatenate the parts' CSR rows: part [i]'s node [v] becomes
+   [offsets.(i) + v], so its offsets shift by the edge count before it
+   and its targets by the node count before it.  Each part is an
+   already-validated graph and no edge crosses parts, so the union is
+   valid by construction and adopted without re-checking. *)
 let disjoint_union graphs =
-  let total = List.fold_left (fun acc g -> acc + Graph.n g) 0 graphs in
-  let adj = Array.make total [||] in
-  let offsets = Array.make (List.length graphs) 0 in
-  let off = ref 0 in
-  List.iteri
+  let parts = Array.of_list graphs in
+  let offsets = Array.make (Array.length parts) 0 in
+  let total = ref 0 and edges = ref 0 and max_degree = ref 0 in
+  Array.iteri
     (fun i g ->
-      offsets.(i) <- !off;
-      Graph.iter_nodes g (fun v ->
-          adj.(!off + v) <- Array.map (fun w -> !off + w) (Graph.neighbors g v));
-      off := !off + Graph.n g)
-    graphs;
-  let ids = Array.init total (fun v -> v + 1) in
-  (Graph.create ~ids ~adj, offsets)
+      offsets.(i) <- !total;
+      total := !total + Graph.n g;
+      edges := !edges + Iarr.length (Graph.csr_targets g);
+      max_degree := max !max_degree (Graph.max_degree g))
+    parts;
+  let off = Iarr.create (!total + 1) and tgt = Iarr.create !edges in
+  let edge_base = ref 0 in
+  Array.iteri
+    (fun i g ->
+      let base = offsets.(i) in
+      let g_off = Graph.csr_offsets g and g_tgt = Graph.csr_targets g in
+      for v = 0 to Graph.n g - 1 do
+        Iarr.set off (base + v) (!edge_base + Iarr.get g_off v)
+      done;
+      for e = 0 to Iarr.length g_tgt - 1 do
+        Iarr.set tgt (!edge_base + e) (base + Iarr.get g_tgt e)
+      done;
+      edge_base := !edge_base + Iarr.length g_tgt)
+    parts;
+  Iarr.set off !total !edge_base;
+  let ids = Iarr.init !total (fun v -> v + 1) in
+  (Graph.unsafe_of_csr ~ids ~off ~tgt ~max_degree:!max_degree, offsets)
+
+(* Rows are emitted directly: count each node's pointer endpoints, drop
+   them into per-node slots, then sort each (short, bounded-degree) row
+   by insertion and keep its distinct entries, compacting in place. *)
+let of_pointers ~n columns =
+  let start = Array.make (n + 1) 0 in
+  let each_pointer f =
+    List.iter
+      (fun col ->
+        for v = 0 to n - 1 do
+          let u = col.(v) in
+          if u >= 0 then f v u
+        done)
+      columns
+  in
+  each_pointer (fun v u ->
+      if u >= n then invalid_arg "Builder.of_pointers: pointer out of range";
+      start.(v + 1) <- start.(v + 1) + 1;
+      start.(u + 1) <- start.(u + 1) + 1);
+  for v = 0 to n - 1 do
+    start.(v + 1) <- start.(v + 1) + start.(v)
+  done;
+  let slots = Array.make start.(n) 0 in
+  let fill = Array.sub start 0 n in
+  each_pointer (fun v u ->
+      slots.(fill.(v)) <- u;
+      fill.(v) <- fill.(v) + 1;
+      slots.(fill.(u)) <- v;
+      fill.(u) <- fill.(u) + 1);
+  let off = Iarr.create (n + 1) in
+  let m = ref 0 in
+  for v = 0 to n - 1 do
+    let lo = start.(v) and hi = start.(v + 1) in
+    for i = lo + 1 to hi - 1 do
+      let x = slots.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && slots.(!j) > x do
+        slots.(!j + 1) <- slots.(!j);
+        decr j
+      done;
+      slots.(!j + 1) <- x
+    done;
+    Iarr.set off v !m;
+    let last = ref (-1) in
+    for i = lo to hi - 1 do
+      let x = slots.(i) in
+      if x <> !last then begin
+        slots.(!m) <- x;
+        incr m;
+        last := x
+      end
+    done
+  done;
+  Iarr.set off n !m;
+  let tgt = Iarr.init !m (fun e -> slots.(e)) in
+  Graph.of_csr ~ids:(Iarr.init n (fun v -> v + 1)) ~off ~tgt
 
 let attach g ~extra_edges =
   let count = Graph.n g in

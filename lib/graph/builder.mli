@@ -57,7 +57,25 @@ val random_binary_tree : n:int -> rng:Vc_rng.Splitmix.t -> Graph.t
 val disjoint_union : Graph.t list -> Graph.t * int array
 (** [disjoint_union gs] packs the graphs side by side.  Returns the
     packed graph and the offset of each component's node 0.  Identifiers
-    are re-assigned to [1..n] in packing order. *)
+    are re-assigned to [1..n] in packing order.
+
+    The packed rows are the parts' CSR rows concatenated: component [i]'s
+    node [v] is node [offsets.(i) + v], keeps its port order, and its
+    targets are shifted by [offsets.(i)].  The parts are validated
+    graphs and no edge joins two of them, so the union is valid by
+    construction and is not re-checked. *)
+
+val of_pointers : n:int -> int array list -> Graph.t
+(** [of_pointers ~n columns] is the graph on nodes [0 .. n-1] with one
+    undirected edge [{v, c.(v)}] for every column [c] and every node [v]
+    with [c.(v) >= 0] (a negative entry is ⊥); a pair named by several
+    pointers is one edge.  Each column must have at least [n] entries.
+    Node [v]'s ports list its distinct neighbors in ascending node index
+    (the port order {!Graph.of_edges} gives to edges sorted as [(min,
+    max)] pairs), and identifiers are [1..n].  The rows pass every check
+    of {!Graph.create}.
+    @raise Invalid_argument if a pointer names a node [>= n], or as
+    {!Graph.create} (a pointer to its own node is a self-loop). *)
 
 val attach : Graph.t -> extra_edges:(Graph.node * Graph.node) list -> Graph.t
 (** Add edges to an existing graph.  New edges get the next free ports

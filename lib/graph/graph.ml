@@ -92,35 +92,57 @@ let unsafe_of_csr ~ids ~off ~tgt ~max_degree =
     invalid_arg "Graph.unsafe_of_csr: off must have n+1 entries";
   { ids; off; tgt; id_index = None; max_degree }
 
-let create ~ids ~adj =
-  let count = Array.length ids in
-  if Array.length adj <> count then invalid_arg "Graph.create: ids/adj length mismatch";
-  let id_index = Hashtbl.create count in
-  Array.iteri
-    (fun v i ->
-      if Hashtbl.mem id_index i then invalid_arg "Graph.create: duplicate identifier";
-      Hashtbl.add id_index i v)
-    ids;
-  let off = Iarr.create (count + 1) in
-  Iarr.set off 0 0;
-  for v = 0 to count - 1 do
-    Iarr.set off (v + 1) (Iarr.get off v + Array.length adj.(v))
-  done;
-  let m = Iarr.get off count in
-  let tgt = Iarr.make m 0 in
+(* Identifiers must be distinct.  Dense id ranges (the common [1..n]
+   case) are checked with a bitmap; sparse ones by sorting a copy. *)
+let check_distinct_ids ids =
+  let count = Iarr.length ids in
+  if count > 1 then begin
+    let lo = ref max_int and hi = ref min_int in
+    Iarr.iter
+      (fun i ->
+        if i < !lo then lo := i;
+        if i > !hi then hi := i)
+      ids;
+    let span = !hi - !lo in
+    let dup () = invalid_arg "Graph.create: duplicate identifier" in
+    if span >= 0 && span < 4 * count then begin
+      let seen = Bytes.make (span + 1) '\000' in
+      Iarr.iter
+        (fun i ->
+          let j = i - !lo in
+          if Bytes.unsafe_get seen j <> '\000' then dup ();
+          Bytes.unsafe_set seen j '\001')
+        ids
+    end
+    else begin
+      let sorted = Iarr.to_array ids in
+      Array.sort compare sorted;
+      for j = 1 to count - 1 do
+        if sorted.(j) = sorted.(j - 1) then dup ()
+      done
+    end
+  end
+
+(* The one validating constructor: {!create} and the CSR-emitting
+   builders both end here, so every graph that is not a trusted
+   snapshot load passes the same checks with the same messages. *)
+let of_csr ~ids ~off ~tgt =
+  let count = Iarr.length ids in
+  if Iarr.length off <> count + 1 || Iarr.get off 0 <> 0 || Iarr.get off count <> Iarr.length tgt
+  then invalid_arg "Graph.of_csr: off must hold n+1 offsets from 0 to the length of tgt";
+  check_distinct_ids ids;
   let max_degree = ref 0 in
   for v = 0 to count - 1 do
-    let row = adj.(v) in
-    let d = Array.length row in
-    if d > !max_degree then max_degree := d;
-    for p = 1 to d do
-      let w = row.(p - 1) in
+    let lo = Iarr.get off v and hi = Iarr.get off (v + 1) in
+    if hi < lo then invalid_arg "Graph.of_csr: offsets must not decrease";
+    if hi - lo > !max_degree then max_degree := hi - lo;
+    for e = lo to hi - 1 do
+      let w = Iarr.get tgt e in
       if w < 0 || w >= count then invalid_arg "Graph.create: neighbor out of range";
       if w = v then invalid_arg "Graph.create: self-loop";
-      for q = 1 to p - 1 do
-        if row.(q - 1) = w then invalid_arg "Graph.create: parallel edge"
-      done;
-      Iarr.set tgt (Iarr.get off v + p - 1) w
+      for e' = lo to e - 1 do
+        if Iarr.get tgt e' = w then invalid_arg "Graph.create: parallel edge"
+      done
     done
   done;
   (* Symmetry: every directed edge must have its reverse.  A row scan on
@@ -136,7 +158,19 @@ let create ~ids ~adj =
       if not !ok then invalid_arg "Graph.create: asymmetric adjacency"
     done
   done;
-  { ids = Iarr.of_array ids; off; tgt; id_index = Some id_index; max_degree = !max_degree }
+  { ids; off; tgt; id_index = None; max_degree = !max_degree }
+
+let create ~ids ~adj =
+  let count = Array.length ids in
+  if Array.length adj <> count then invalid_arg "Graph.create: ids/adj length mismatch";
+  let off = Iarr.create (count + 1) in
+  Iarr.set off 0 0;
+  for v = 0 to count - 1 do
+    Iarr.set off (v + 1) (Iarr.get off v + Array.length adj.(v))
+  done;
+  let tgt = Iarr.create (Iarr.get off count) in
+  Array.iteri (fun v row -> Array.iteri (fun i w -> Iarr.set tgt (Iarr.get off v + i) w) row) adj;
+  of_csr ~ids:(Iarr.of_array ids) ~off ~tgt
 
 let of_edges ?ids ~n:count edges =
   let buckets = Array.make count [] in

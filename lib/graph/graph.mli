@@ -25,6 +25,16 @@ val create : ids:int array -> adj:node array array -> t
     @raise Invalid_argument if the adjacency is not symmetric, contains a
     self-loop or a parallel edge, or if identifiers are not distinct. *)
 
+val of_csr : ids:Iarr.t -> off:Iarr.t -> tgt:Iarr.t -> t
+(** [of_csr ~ids ~off ~tgt] adopts CSR rows built by the caller: node
+    [v]'s neighbors, in port order, are [tgt.{off.{v}} ..
+    tgt.{off.{v+1} - 1}].  The rows are validated exactly as by
+    {!create} (which builds its rows and calls this), with the same
+    messages; they are shared, not copied, and must not be written
+    afterwards.
+    @raise Invalid_argument as {!create}, or if [off] does not hold
+    [n+1] non-decreasing offsets from [0] to [Iarr.length tgt]. *)
+
 val of_edges : ?ids:int array -> n:int -> (node * node) list -> t
 (** [of_edges ~n edges] assigns ports in the order edges are listed: for
     each endpoint, its next free port.  Identifiers default to
@@ -73,8 +83,9 @@ val unsafe_of_csr : ids:Iarr.t -> off:Iarr.t -> tgt:Iarr.t -> max_degree:int -> 
 (** Adopt pre-built CSR rows — typically views into a checksummed,
     memory-mapped snapshot ([lib/snap]) — without any structural
     validation.  The caller vouches that the rows came from a graph
-    {!create} once accepted; the arrays are shared, not copied, and must
-    never be written afterwards.
+    {!create} once accepted, or are built only from such rows
+    ({!Builder.disjoint_union}); the arrays are shared, not copied, and
+    must never be written afterwards.
     @raise Invalid_argument if [Iarr.length off <> Iarr.length ids + 1]. *)
 
 val port_to : t -> node -> node -> port option

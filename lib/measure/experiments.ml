@@ -314,7 +314,6 @@ let table1_hybrid_thc ?pool ?(deep = false) ~quick () =
     let inst, hot = Hy.hard_instance ~k ~target_n:t ~seed:(Int64.of_int t) in
     let n = Graph.n inst.Hy.graph in
     let world = Hy.world inst in
-    let dist_run = Probe.run ~world ~origin:hot (Hy.solve_distance ~k).Lcl.solve in
     let det = Probe.run ~world ~origin:hot (Hy.solve_volume_deterministic ~k).Lcl.solve in
     let rand = Randomness.create ~seed:(Int64.of_int (t + 1)) ~n () in
     let way =
@@ -359,7 +358,6 @@ let table1_hybrid_thc ?pool ?(deep = false) ~quick () =
       measure_max ~world ~solver:(Hy.solve_distance ~k) ?pool
         ~origins:(hot :: deepest_bt_root :: bt_starts) ()
     in
-    ignore dist_run;
     (n, dist_stats, det, way)
   in
   let rows = pmap pool per_target targets in
@@ -419,14 +417,18 @@ let table1_hh_thc ?pool ?(deep = false) ~quick () =
     let hier_a, h_hot = H.hard_instance ~k:l ~target_n:t ~seed:(Int64.of_int t) in
     let filler_hy = Hy.uniform_instance ~k ~len:4 ~bt_depth:2 ~seed:(Int64.of_int (t + 1)) in
     let inst_a = HH.mixed_instance ~hier:hier_a ~hybrid:filler_hy in
-    let world_a = HH.world inst_a in
+    let n_a = Graph.n inst_a.HH.graph in
+    (* finish with instance A before building B, so the two large
+       instances are never live at once *)
+    let dist_run =
+      Probe.run ~world:(HH.world inst_a) ~origin:h_hot (HH.solve_distance ~k ~l).Lcl.solve
+    in
     let filler_h = H.uniform_instance ~k:l ~len:3 ~seed:(Int64.of_int (t + 2)) in
     let hybrid_b, hy_hot = Hy.hard_instance ~k ~target_n:t ~seed:(Int64.of_int (t + 3)) in
     let inst_b = HH.mixed_instance ~hier:filler_h ~hybrid:hybrid_b in
     let world_b = HH.world inst_b in
-    let n_a = Graph.n inst_a.HH.graph and n_b = Graph.n inst_b.HH.graph in
+    let n_b = Graph.n inst_b.HH.graph in
     let b_hot = n_b - Graph.n hybrid_b.Hy.graph + hy_hot in
-    let dist_run = Probe.run ~world:world_a ~origin:h_hot (HH.solve_distance ~k ~l).Lcl.solve in
     let det_vol =
       Probe.run ~world:world_b ~origin:b_hot (HH.solve_volume_deterministic ~k ~l).Lcl.solve
     in

@@ -73,12 +73,70 @@ let test_edges_count () =
   let g = Builder.cycle 7 in
   Alcotest.(check int) "cycle has n edges" 7 (List.length (Graph.edges g))
 
+(* The union must be the graph [Graph.create] builds over the parts'
+   rows shifted by their offsets: same ports, ids [1..n], max degree
+   and [port_to]. *)
+let check_union_matches_create graphs =
+  let g, offsets = Builder.disjoint_union graphs in
+  let rows =
+    List.concat
+      (List.mapi
+         (fun i part ->
+           List.init (Graph.n part) (fun v ->
+               Array.map (fun w -> offsets.(i) + w) (Graph.neighbors part v)))
+         graphs)
+  in
+  let n = List.length rows in
+  let slow = Graph.create ~ids:(Array.init n (fun v -> v + 1)) ~adj:(Array.of_list rows) in
+  Alcotest.(check int) "n" n (Graph.n g);
+  Alcotest.(check int) "max degree" (Graph.max_degree slow) (Graph.max_degree g);
+  Graph.iter_nodes slow (fun v ->
+      Alcotest.(check int) "id" (v + 1) (Graph.id g v);
+      Alcotest.(check (array int)) "ports" (Graph.neighbors slow v) (Graph.neighbors g v);
+      Graph.iter_nodes slow (fun w ->
+          Alcotest.(check (option int)) "port_to" (Graph.port_to slow v w) (Graph.port_to g v w)))
+
 let test_disjoint_union () =
   let g, offsets = Builder.disjoint_union [ Builder.path 3; Builder.cycle 4 ] in
   Alcotest.(check int) "n" 7 (Graph.n g);
   Alcotest.(check bool) "disconnected" false (Graph.is_connected g);
   Alcotest.(check int) "offset 0" 0 offsets.(0);
-  Alcotest.(check int) "offset 1" 3 offsets.(1)
+  Alcotest.(check int) "offset 1" 3 offsets.(1);
+  let empty, no_offsets = Builder.disjoint_union [] in
+  Alcotest.(check int) "empty union" 0 (Graph.n empty);
+  Alcotest.(check int) "no offsets" 0 (Array.length no_offsets);
+  check_union_matches_create [];
+  check_union_matches_create [ Builder.complete_binary_tree ~depth:2 ];
+  check_union_matches_create [ Builder.path 3; Builder.cycle 4 ]
+
+(* Random pointer columns (entries -1 or another node): [of_pointers]
+   must give the ports the edge-list path gave, i.e. [Graph.of_edges]
+   over the distinct [(min, max)] pairs in sorted order. *)
+let prop_of_pointers_matches_sorted_edges =
+  QCheck.Test.make ~name:"of_pointers = of_edges over sorted distinct pairs" ~count:200
+    QCheck.(pair (int_range 2 24) int)
+    (fun (n, seed) ->
+      let rng = Splitmix.create (Int64.of_int seed) in
+      let column () =
+        Array.init n (fun v ->
+            if Splitmix.bool rng then -1
+            else (v + 1 + Splitmix.int rng ~bound:(n - 1)) mod n)
+      in
+      let columns = [ column (); column (); column () ] in
+      let pairs =
+        List.concat_map
+          (fun col ->
+            List.filter_map
+              (fun v -> if col.(v) < 0 then None else Some (min v col.(v), max v col.(v)))
+              (List.init n Fun.id))
+          columns
+      in
+      let slow = Graph.of_edges ~n (List.sort_uniq compare pairs) in
+      let g = Builder.of_pointers ~n columns in
+      Graph.max_degree g = Graph.max_degree slow
+      && List.for_all
+           (fun v -> Graph.id g v = Graph.id slow v && Graph.neighbors g v = Graph.neighbors slow v)
+           (Graph.nodes slow))
 
 let test_attach () =
   let g, _ = Builder.disjoint_union [ Builder.path 2; Builder.path 2 ] in
@@ -278,6 +336,7 @@ let suites =
         Alcotest.test_case "shuffle ids" `Quick test_shuffle_ids_is_permutation;
         Alcotest.test_case "edges count" `Quick test_edges_count;
         Alcotest.test_case "disjoint union" `Quick test_disjoint_union;
+        QCheck_alcotest.to_alcotest prop_of_pointers_matches_sorted_edges;
         Alcotest.test_case "attach" `Quick test_attach;
         Alcotest.test_case "port_to non-neighbor" `Quick test_port_to_non_neighbor;
         QCheck_alcotest.to_alcotest prop_port_to_inverts_neighbor;
