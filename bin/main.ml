@@ -458,7 +458,7 @@ let check_cmd =
   in
   let probes =
     Arg.(
-      value & opt (some string) None
+      value & opt (some (list string)) None
       & info [ "probes" ] ~docv:"LIST"
           ~doc:
             (Fmt.str
@@ -468,11 +468,10 @@ let check_cmd =
   in
   let run seed count quick json only family probes metrics jobs =
     let entries = select_entries ~only ~family in
+    (* blank items are dropped, so [--probes ,] is the empty selection
+       the oracle rejects *)
     let only_probes =
-      Option.map
-        (fun s ->
-          List.filter (fun p -> p <> "") (List.map String.trim (String.split_on_char ',' s)))
-        probes
+      Option.map (fun ps -> List.filter (( <> ) "") (List.map String.trim ps)) probes
     in
     if entries = [] then begin
       Fmt.epr "check: no problem matches the filter@.";

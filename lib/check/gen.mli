@@ -71,9 +71,6 @@ val pseudo_tree : cycle_len:int -> seed:int64 -> Volcomp.Leaf_coloring.instance
     produce uniformly garbage inputs — pointers possibly exceeding the
     degree, arbitrary colors and levels. *)
 
-val garbage_ptr : Splitmix.t -> int -> TL.ptr
-(** Uniform over [{bot} ∪ [1, deg + 2]] — may exceed the real degree. *)
-
 val garbage_color : Splitmix.t -> TL.color
 
 val garbage_graph : Splitmix.t -> Graph.t
@@ -99,13 +96,6 @@ val garbage_hybrid_input : Splitmix.t -> Volcomp.Hybrid_thc.node_input
 type program_spec = { p_blocks : int; p_seed : int64 }
 
 val pp_program_spec : Format.formatter -> program_spec -> unit
-
-val build_ir_program : program_spec -> Vc_ir.Ir.program
-(** Deterministic: the same spec always builds the identical program.
-    Always passes {!Vc_ir.Ir.validate} (the qcheck property re-asserts
-    this).  Block bodies are drawn from per-block splits of the seed and
-    the exit/envelope from seed-only streams, so [p_blocks - 1] yields
-    the program's literal prefix — the shrinker drops whole blocks. *)
 
 val ir_spec : program_spec -> (int, int) Vc_ir.Ir.spec
 (** {!build_ir_program} bound to the generated-program observation

@@ -16,12 +16,6 @@ type outcome = {
   detail : string;
 }
 
-let pp_outcome ppf o =
-  Fmt.pf ppf "%s@%d: %s%s%s" o.kind o.site
-    (if o.rejected then "rejected" else "accepted")
-    (if o.in_radius then "" else " OUT-OF-RADIUS")
-    (if o.detail = "" then "" else " (" ^ o.detail ^ ")")
-
 let check ~problem ~graph ~input ~kind (m : _ t) =
   let input = Option.value m.input ~default:input in
   match Lcl.check problem graph ~input ~output:m.output with

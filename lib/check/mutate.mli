@@ -40,8 +40,6 @@ type outcome = {
   detail : string;  (** first violation (or failure reason), for logs *)
 }
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 val check :
   problem:('i, 'o) Vc_lcl.Lcl.t ->
   graph:Graph.t ->

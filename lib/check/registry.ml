@@ -390,269 +390,157 @@ let builder_version = "registry-v2"
 
 let store ~dir = Store.create ~dir ~builder_version
 
-(* How one problem's instance flattens into named snapshot segments and
-   back.  [dec] is total: any missing or mis-sized segment is [None],
-   which callers treat as a store miss and fall back to building. *)
-type 'inst snapper = {
-  enc : 'inst -> (string * Iarr.t) list;
-  dec : Snap.loaded -> 'inst option;
-  n_of : 'inst -> int;
+(* One schema for every instance: the graph's CSR rows (the four [g.*]
+   segments), then the problem's named int columns in [columns] order.
+   [rebuild] reads them back through [col], which answers the named
+   segment if it holds the stated number of words ([n] unless [~len]
+   says otherwise) and fails the whole decode if not. *)
+type col = ?len:int -> string -> Iarr.t
+
+type 'inst schema = {
+  graph : 'inst -> Graph.t;
+  columns : 'inst -> (string * Iarr.t) list;
+  rebuild : Graph.t -> col -> 'inst;
 }
 
-let graph_segments g =
-  [
-    ("g.meta", Iarr.of_array [| Graph.max_degree g |]);
-    ("g.ids", Graph.csr_ids g);
-    ("g.off", Graph.csr_offsets g);
-    ("g.tgt", Graph.csr_targets g);
-  ]
+exception Missing_column
 
-(* The graph's rows are adopted as zero-copy views of the mapped file:
-   the snapshot checksum stands in for [Graph.create]'s validation. *)
-let graph_of_snapshot l =
+let encode s inst =
+  let g = s.graph inst in
+  ("g.meta", Iarr.of_array [| Graph.max_degree g |])
+  :: ("g.ids", Graph.csr_ids g)
+  :: ("g.off", Graph.csr_offsets g)
+  :: ("g.tgt", Graph.csr_targets g)
+  :: s.columns inst
+
+(* Total: a missing or mis-sized segment is [None], which callers treat
+   as a store miss and fall back to building.  The graph's rows are
+   adopted as zero-copy views of the mapped file: the snapshot checksum
+   stands in for [Graph.create]'s validation. *)
+let decode s l =
+  let n = l.Snap.hdr.Snap.n in
+  let col ?(len = n) name =
+    match Snap.seg_find l name with
+    | Some a when Iarr.length a = len -> a
+    | Some _ | None -> raise_notrace Missing_column
+  in
   match
-    ( Snap.seg_find l "g.meta",
-      Snap.seg_find l "g.ids",
-      Snap.seg_find l "g.off",
-      Snap.seg_find l "g.tgt" )
+    let off = col ~len:(n + 1) "g.off" and meta = col ~len:1 "g.meta" in
+    let tgt = col ~len:(Iarr.get off n) "g.tgt" in
+    s.rebuild (Graph.unsafe_of_csr ~ids:(col "g.ids") ~off ~tgt ~max_degree:(Iarr.get meta 0)) col
   with
-  | Some meta, Some ids, Some off, Some tgt
-    when Iarr.length meta = 1
-         && Iarr.length ids = l.Snap.hdr.Snap.n
-         && Iarr.length off = Iarr.length ids + 1 ->
-      Some (Graph.unsafe_of_csr ~ids ~off ~tgt ~max_degree:(Iarr.get meta 0))
-  | _ -> None
+  | inst -> Some inst
+  | exception Missing_column -> None
 
-let graph_snapper = { enc = graph_segments; dec = graph_of_snapshot; n_of = Graph.n }
-
-let seg_n l name =
-  match Snap.seg_find l name with
-  | Some a when Iarr.length a = l.Snap.hdr.Snap.n -> Some a
-  | Some _ | None -> None
-
+let n_of s inst = Graph.n (s.graph inst)
+let plain_graph = { graph = Fun.id; columns = (fun _ -> []); rebuild = (fun g _ -> g) }
 let int_of_color = function TL.Red -> 0 | TL.Blue -> 1
 let color_of_int i = if i = 0 then TL.Red else TL.Blue
 let int_of_bool b = if b then 1 else 0
 
-let lc_snapper =
-  let enc (inst : LC.instance) =
-    let n = Graph.n inst.LC.graph in
-    graph_segments inst.LC.graph
-    @ [
-        ("tl.parent", inst.LC.labels.TL.parent);
-        ("tl.left", inst.LC.labels.TL.left);
-        ("tl.right", inst.LC.labels.TL.right);
-        ("lc.color", Iarr.init n (fun v -> int_of_color inst.LC.colors.(v)));
-      ]
+(* Per-node label records, one column per [(name, field)]: [rows] hands
+   [make] a reader of the node's [k]-th field, in [fields] order. *)
+let per_node labels fields =
+  List.map (fun (name, f) -> (name, Iarr.init (Array.length labels) (fun v -> f labels.(v)))) fields
+
+let rows graph (col : col) fields make =
+  let cols = Array.of_list (List.map (fun (name, _) -> col name) fields) in
+  Array.init (Graph.n graph) (fun v -> make (fun k -> Iarr.get cols.(k) v))
+
+let lc_columns (i : LC.instance) =
+  let tl = i.LC.labels in
+  [ ("tl.parent", tl.TL.parent); ("tl.left", tl.TL.left); ("tl.right", tl.TL.right) ]
+  @ per_node i.LC.colors [ ("lc.color", int_of_color) ]
+
+let lc_rebuild graph (col : col) =
+  let color = col "lc.color" in
+  let labels = { TL.parent = col "tl.parent"; left = col "tl.left"; right = col "tl.right" } in
+  let colors = Array.init (Graph.n graph) (fun v -> color_of_int (Iarr.get color v)) in
+  { LC.graph; labels; colors }
+
+let lc_schema = { graph = (fun i -> i.LC.graph); columns = lc_columns; rebuild = lc_rebuild }
+
+let h_schema ~k =
+  { graph = (fun i -> i.H.base.LC.graph); columns = (fun i -> lc_columns i.H.base);
+    rebuild = (fun g col -> { H.base = lc_rebuild g col; k }) }
+
+let bt_schema =
+  let fields =
+    [ ("bt.parent", fun i -> i.BT.parent); ("bt.left", fun i -> i.BT.left);
+      ("bt.right", fun i -> i.BT.right); ("bt.left_nbr", fun i -> i.BT.left_nbr);
+      ("bt.right_nbr", fun i -> i.BT.right_nbr) ]
   in
-  let dec l =
-    match
-      ( graph_of_snapshot l,
-        seg_n l "tl.parent",
-        seg_n l "tl.left",
-        seg_n l "tl.right",
-        seg_n l "lc.color" )
-    with
-    | Some graph, Some parent, Some left, Some right, Some color ->
-        Some
-          {
-            LC.graph;
-            labels = { TL.parent; left; right };
-            colors = Array.init (Graph.n graph) (fun v -> color_of_int (Iarr.get color v));
-          }
-    | _ -> None
+  let row f = { BT.parent = f 0; left = f 1; right = f 2; left_nbr = f 3; right_nbr = f 4 } in
+  { graph = (fun i -> i.BT.graph); columns = (fun i -> per_node i.BT.labels fields);
+    rebuild = (fun graph col -> { BT.graph; labels = rows graph col fields row }) }
+
+let hy_fields =
+  [ ("hy.parent", fun i -> i.Hy.parent); ("hy.left", fun i -> i.Hy.left);
+    ("hy.right", fun i -> i.Hy.right); ("hy.left_nbr", fun i -> i.Hy.left_nbr);
+    ("hy.right_nbr", fun i -> i.Hy.right_nbr); ("hy.color", fun i -> int_of_color i.Hy.color);
+    ("hy.level", fun i -> i.Hy.level) ]
+
+let hy_row f =
+  { Hy.parent = f 0; left = f 1; right = f 2; left_nbr = f 3; right_nbr = f 4;
+    color = color_of_int (f 5); level = f 6 }
+
+let hy_schema ~k =
+  { graph = (fun i -> i.Hy.graph); columns = (fun i -> per_node i.Hy.labels hy_fields);
+    rebuild = (fun graph col -> { Hy.graph; labels = rows graph col hy_fields hy_row; k }) }
+
+(* HH-THC's labels are Hybrid's columns plus the bit. *)
+let hh_schema ~k ~level =
+  let fields =
+    List.map (fun (name, f) -> (name, fun i -> f i.HH.hy)) hy_fields
+    @ [ ("hh.bit", fun i -> int_of_bool i.HH.bit) ]
   in
-  { enc; dec; n_of = (fun (i : LC.instance) -> Graph.n i.LC.graph) }
+  let row f = { HH.hy = hy_row f; bit = f (List.length hy_fields) <> 0 } in
+  { graph = (fun i -> i.HH.graph); columns = (fun i -> per_node i.HH.labels fields);
+    rebuild = (fun graph col -> { HH.graph; labels = rows graph col fields row; k; l = level }) }
 
-let h_snapper ~k =
-  {
-    enc = (fun (inst : H.instance) -> lc_snapper.enc inst.H.base);
-    dec = (fun l -> Option.map (fun base -> { H.base; k }) (lc_snapper.dec l));
-    n_of = (fun (i : H.instance) -> Graph.n i.H.base.LC.graph);
-  }
-
-let bt_snapper =
-  let enc (inst : BT.instance) =
-    let n = Graph.n inst.BT.graph in
-    let f sel = Iarr.init n (fun v -> sel inst.BT.labels.(v)) in
-    graph_segments inst.BT.graph
-    @ [
-        ("bt.parent", f (fun i -> i.BT.parent));
-        ("bt.left", f (fun i -> i.BT.left));
-        ("bt.right", f (fun i -> i.BT.right));
-        ("bt.left_nbr", f (fun i -> i.BT.left_nbr));
-        ("bt.right_nbr", f (fun i -> i.BT.right_nbr));
-      ]
+let gap_schema =
+  let fields =
+    [ ("gap.side", fun i -> match i.Gap.side with Gap.U -> 0 | Gap.V -> 1);
+      ("gap.index", fun i -> i.Gap.index); ("gap.depth", fun i -> i.Gap.depth);
+      ("gap.bit", fun i -> match i.Gap.bit with None -> 0 | Some false -> 1 | Some true -> 2) ]
   in
-  let dec l =
-    match
-      ( graph_of_snapshot l,
-        seg_n l "bt.parent",
-        seg_n l "bt.left",
-        seg_n l "bt.right",
-        seg_n l "bt.left_nbr",
-        seg_n l "bt.right_nbr" )
-    with
-    | Some graph, Some p, Some lt, Some rt, Some ln, Some rn ->
-        Some
-          {
-            BT.graph;
-            labels =
-              Array.init (Graph.n graph) (fun v ->
-                  {
-                    BT.parent = Iarr.get p v;
-                    left = Iarr.get lt v;
-                    right = Iarr.get rt v;
-                    left_nbr = Iarr.get ln v;
-                    right_nbr = Iarr.get rn v;
-                  });
-          }
-    | _ -> None
+  let row f =
+    { Gap.side = (if f 0 = 0 then Gap.U else Gap.V); index = f 1; depth = f 2;
+      bit = (match f 3 with 0 -> None | 1 -> Some false | _ -> Some true) }
   in
-  { enc; dec; n_of = (fun (i : BT.instance) -> Graph.n i.BT.graph) }
-
-let hy_segments n label =
-  let f sel = Iarr.init n (fun v -> sel (label v)) in
-  [
-    ("hy.parent", f (fun (i : Hy.node_input) -> i.Hy.parent));
-    ("hy.left", f (fun i -> i.Hy.left));
-    ("hy.right", f (fun i -> i.Hy.right));
-    ("hy.left_nbr", f (fun i -> i.Hy.left_nbr));
-    ("hy.right_nbr", f (fun i -> i.Hy.right_nbr));
-    ("hy.color", f (fun i -> int_of_color i.Hy.color));
-    ("hy.level", f (fun i -> i.Hy.level));
-  ]
-
-let hy_labels_of l =
-  match
-    ( seg_n l "hy.parent",
-      seg_n l "hy.left",
-      seg_n l "hy.right",
-      seg_n l "hy.left_nbr",
-      seg_n l "hy.right_nbr",
-      seg_n l "hy.color",
-      seg_n l "hy.level" )
-  with
-  | Some p, Some lt, Some rt, Some ln, Some rn, Some c, Some lv ->
-      Some
-        (Array.init l.Snap.hdr.Snap.n (fun v ->
-             {
-               Hy.parent = Iarr.get p v;
-               left = Iarr.get lt v;
-               right = Iarr.get rt v;
-               left_nbr = Iarr.get ln v;
-               right_nbr = Iarr.get rn v;
-               color = color_of_int (Iarr.get c v);
-               level = Iarr.get lv v;
-             }))
-  | _ -> None
-
-let hy_snapper ~k =
-  {
-    enc =
-      (fun (inst : Hy.instance) ->
-        graph_segments inst.Hy.graph
-        @ hy_segments (Graph.n inst.Hy.graph) (fun v -> inst.Hy.labels.(v)));
-    dec =
-      (fun l ->
-        match (graph_of_snapshot l, hy_labels_of l) with
-        | Some graph, Some labels -> Some { Hy.graph; labels; k }
-        | _ -> None);
-    n_of = (fun (i : Hy.instance) -> Graph.n i.Hy.graph);
-  }
-
-let hh_snapper ~k ~level =
-  {
-    enc =
-      (fun (inst : HH.instance) ->
-        let n = Graph.n inst.HH.graph in
-        graph_segments inst.HH.graph
-        @ hy_segments n (fun v -> inst.HH.labels.(v).HH.hy)
-        @ [ ("hh.bit", Iarr.init n (fun v -> int_of_bool inst.HH.labels.(v).HH.bit)) ]);
-    dec =
-      (fun ld ->
-        match (graph_of_snapshot ld, hy_labels_of ld, seg_n ld "hh.bit") with
-        | Some graph, Some hy, Some bit ->
-            Some
-              {
-                HH.graph;
-                labels =
-                  Array.init (Graph.n graph) (fun v ->
-                      { HH.hy = hy.(v); bit = Iarr.get bit v <> 0 });
-                k;
-                l = level;
-              }
-        | _ -> None);
-    n_of = (fun (i : HH.instance) -> Graph.n i.HH.graph);
-  }
-
-let gap_snapper =
-  let enc (inst : Gap.instance) =
-    let n = Graph.n inst.Gap.graph in
-    let f sel = Iarr.init n (fun v -> sel inst.Gap.inputs.(v)) in
-    graph_segments inst.Gap.graph
-    @ [
-        ("gap.side", f (fun (i : Gap.node_input) -> match i.Gap.side with Gap.U -> 0 | Gap.V -> 1));
-        ("gap.index", f (fun i -> i.Gap.index));
-        ("gap.depth", f (fun i -> i.Gap.depth));
-        ( "gap.bit",
-          f (fun i -> match i.Gap.bit with None -> 0 | Some false -> 1 | Some true -> 2) );
-        ("gap.bits", Iarr.init (Array.length inst.Gap.bits) (fun i -> int_of_bool inst.Gap.bits.(i)));
-      ]
+  let rebuild graph (col : col) =
+    (* two depth-d trees: n = 2 (2^{d+1} - 1) nodes and 2^d V-leaf bits *)
+    let bits = col ~len:((Graph.n graph + 2) / 4) "gap.bits" in
+    let bits = Array.init (Iarr.length bits) (fun j -> Iarr.get bits j <> 0) in
+    { Gap.graph; inputs = rows graph col fields row; bits }
   in
-  let dec ld =
-    match
-      ( graph_of_snapshot ld,
-        seg_n ld "gap.side",
-        seg_n ld "gap.index",
-        seg_n ld "gap.depth",
-        seg_n ld "gap.bit",
-        Snap.seg_find ld "gap.bits" )
-    with
-    | Some graph, Some side, Some index, Some depth, Some bit, Some bits ->
-        Some
-          {
-            Gap.graph;
-            inputs =
-              Array.init (Graph.n graph) (fun v ->
-                  {
-                    Gap.side = (if Iarr.get side v = 0 then Gap.U else Gap.V);
-                    index = Iarr.get index v;
-                    depth = Iarr.get depth v;
-                    bit =
-                      (match Iarr.get bit v with
-                      | 0 -> None
-                      | 1 -> Some false
-                      | _ -> Some true);
-                  });
-            bits = Array.init (Iarr.length bits) (fun i -> Iarr.get bits i <> 0);
-          }
-    | _ -> None
+  let columns i =
+    per_node i.Gap.inputs fields @ per_node i.Gap.bits [ ("gap.bits", int_of_bool) ]
   in
-  { enc; dec; n_of = (fun (i : Gap.instance) -> Graph.n i.Gap.graph) }
+  { graph = (fun i -> i.Gap.graph); columns; rebuild }
 
 (* Store consultation shared by every entry: a hit decodes zero-copy
    views of the mapped file; a miss builds and (best-effort) publishes,
    so a configured store self-populates — the property the shard tier's
    post-kill re-warm relies on. *)
-let acquire_with ?store:st ~problem ~snapper ~build ~size ~seed () =
+let acquire_with ?store:st ~problem ~schema ~build ~size ~seed () =
   match st with
   | None -> (build (), `Built)
   | Some st -> (
       match Store.load st ~problem ~size ~seed with
       | Some l -> (
-          match snapper.dec l with Some inst -> (inst, `Snapshot) | None -> (build (), `Built))
+          match decode schema l with Some inst -> (inst, `Snapshot) | None -> (build (), `Built))
       | None ->
           let inst = build () in
           ignore
-            (Store.publish st ~problem ~size ~seed ~n:(snapper.n_of inst)
-               ~segments:(snapper.enc inst)
+            (Store.publish st ~problem ~size ~seed ~n:(n_of schema inst)
+               ~segments:(encode schema inst)
               : bool);
           (inst, `Built))
 
-let snap_entry ~name ~family ~radius ~sizes ~quick_sizes ~ir ~snapper ~build ~trial_of =
+let snap_entry ~name ~family ~radius ~sizes ~quick_sizes ~ir ~schema ~build ~trial_of =
   let acquire_inst ?store ~size ~seed () =
-    acquire_with ?store ~problem:name ~snapper ~build:(fun () -> build ~size ~seed) ~size ~seed
+    acquire_with ?store ~problem:name ~schema ~build:(fun () -> build ~size ~seed) ~size ~seed
       ()
   in
   {
@@ -667,7 +555,7 @@ let snap_entry ~name ~family ~radius ~sizes ~quick_sizes ~ir ~snapper ~build ~tr
         let inst, source = acquire_inst ?store ~size ~seed () in
         trial_of ~seed ~source inst);
     acquire =
-      (fun ?store ~size ~seed () -> snapper.n_of (fst (acquire_inst ?store ~size ~seed ())));
+      (fun ?store ~size ~seed () -> n_of schema (fst (acquire_inst ?store ~size ~seed ())));
   }
 
 (* --- entries, in paper order --------------------------------------------- *)
@@ -675,7 +563,7 @@ let snap_entry ~name ~family ~radius ~sizes ~quick_sizes ~ir ~snapper ~build ~tr
 let degree_parity =
   let problem = TR.problem in
   snap_entry ~name:problem.Lcl.name ~family:"cubic" ~radius:problem.Lcl.radius
-    ~sizes:[ 24; 40 ] ~quick_sizes:[ 16 ] ~ir:true ~snapper:graph_snapper
+    ~sizes:[ 24; 40 ] ~quick_sizes:[ 16 ] ~ir:true ~schema:plain_graph
     ~build:(fun ~size ~seed -> Gen.build { Gen.shape = Gen.Cubic; size; g_seed = seed })
     ~trial_of:(fun ~seed ~source graph ->
       let input _ = () in
@@ -694,7 +582,7 @@ let degree_parity =
 let cycle_coloring =
   let problem = CC.problem in
   snap_entry ~name:problem.Lcl.name ~family:"cycle" ~radius:problem.Lcl.radius
-    ~sizes:[ 16; 33 ] ~quick_sizes:[ 9 ] ~ir:true ~snapper:graph_snapper
+    ~sizes:[ 16; 33 ] ~quick_sizes:[ 9 ] ~ir:true ~schema:plain_graph
     ~build:(fun ~size ~seed ->
       (* shuffled identifiers vary the ColeâVishkin trajectory per seed *)
       Graph.shuffle_ids (Builder.cycle (max 3 size)) ~rng:(Splitmix.create seed))
@@ -720,7 +608,7 @@ let cycle_coloring =
 let sinkless =
   let problem = SO.problem in
   snap_entry ~name:problem.Lcl.name ~family:"cubic" ~radius:problem.Lcl.radius
-    ~sizes:[ 20; 32 ] ~quick_sizes:[ 12 ] ~ir:false ~snapper:graph_snapper
+    ~sizes:[ 20; 32 ] ~quick_sizes:[ 12 ] ~ir:false ~schema:plain_graph
     ~build:(fun ~size ~seed -> SO.random_cubic ~n:(max 8 size) ~seed)
     ~trial_of:(fun ~seed ~source graph ->
       let input _ = () in
@@ -781,7 +669,7 @@ let lc_mutants inst =
 let leaf_coloring =
   let problem = LC.problem in
   snap_entry ~name:problem.Lcl.name ~family:"tree" ~radius:problem.Lcl.radius
-    ~sizes:[ 31; 63 ] ~quick_sizes:[ 15 ] ~ir:true ~snapper:lc_snapper
+    ~sizes:[ 31; 63 ] ~quick_sizes:[ 15 ] ~ir:true ~schema:lc_schema
     ~build:(fun ~size ~seed -> LC.random_instance ~n:size ~seed)
     ~trial_of:(fun ~seed ~source inst ->
       let graph = inst.LC.graph in
@@ -794,7 +682,7 @@ let leaf_coloring =
 let promise_leaf =
   let problem = LC.problem in
   snap_entry ~name:"PromiseLeafColoring (secret)" ~family:"tree" ~radius:problem.Lcl.radius
-    ~sizes:[ 31; 63 ] ~quick_sizes:[ 15 ] ~ir:true ~snapper:lc_snapper
+    ~sizes:[ 31; 63 ] ~quick_sizes:[ 15 ] ~ir:true ~schema:lc_schema
     ~build:(fun ~size ~seed ->
       let leaf_color = if Int64.logand seed 1L = 0L then TL.Red else TL.Blue in
       PL.promise_instance ~n:size ~leaf_color ~seed)
@@ -811,7 +699,7 @@ let promise_leaf =
 let balanced_tree =
   let problem = BT.problem in
   snap_entry ~name:problem.Lcl.name ~family:"tree" ~radius:problem.Lcl.radius ~sizes:[ 3; 4 ]
-    ~quick_sizes:[ 3 ] ~ir:false ~snapper:bt_snapper
+    ~quick_sizes:[ 3 ] ~ir:false ~schema:bt_schema
     ~build:(fun ~size ~seed ->
       if Int64.logand seed 1L = 1L then BT.broken_pair_instance ~depth:size ~break:0
       else BT.balanced_instance ~depth:size)
@@ -867,7 +755,7 @@ let hierarchical =
   let k = 2 in
   let problem = H.problem ~k in
   snap_entry ~name:problem.Lcl.name ~family:"tree" ~radius:problem.Lcl.radius ~sizes:[ 4; 5 ]
-    ~quick_sizes:[ 3 ] ~ir:false ~snapper:(h_snapper ~k)
+    ~quick_sizes:[ 3 ] ~ir:false ~schema:(h_schema ~k)
     ~build:(fun ~size ~seed -> H.uniform_instance ~k ~len:size ~seed)
     ~trial_of:(fun ~seed ~source inst ->
       let graph = H.graph inst in
@@ -907,7 +795,7 @@ let hybrid =
   let k = 2 in
   let problem = Hy.problem ~k in
   snap_entry ~name:problem.Lcl.name ~family:"tree" ~radius:problem.Lcl.radius ~sizes:[ 3; 4 ]
-    ~quick_sizes:[ 3 ] ~ir:false ~snapper:(hy_snapper ~k)
+    ~quick_sizes:[ 3 ] ~ir:false ~schema:(hy_schema ~k)
     ~build:(fun ~size ~seed -> Hy.uniform_instance ~k ~len:size ~bt_depth:3 ~seed)
     ~trial_of:(fun ~seed ~source inst ->
       let graph = inst.Hy.graph in
@@ -938,7 +826,7 @@ let hh =
   let k = 2 and l = 3 in
   let problem = HH.problem ~k ~l in
   snap_entry ~name:problem.Lcl.name ~family:"tree" ~radius:problem.Lcl.radius ~sizes:[ 60 ]
-    ~quick_sizes:[ 40 ] ~ir:false ~snapper:(hh_snapper ~k ~level:l)
+    ~quick_sizes:[ 40 ] ~ir:false ~schema:(hh_schema ~k ~level:l)
     ~build:(fun ~size ~seed -> HH.uniform_instance ~k ~l ~size_hint:size ~seed)
     ~trial_of:(fun ~seed ~source inst ->
       let graph = inst.HH.graph in
@@ -972,7 +860,7 @@ let hh =
 let gap =
   let problem = Gap.problem in
   snap_entry ~name:problem.Lcl.name ~family:"tree" ~radius:problem.Lcl.radius ~sizes:[ 4; 5 ]
-    ~quick_sizes:[ 3 ] ~ir:false ~snapper:gap_snapper
+    ~quick_sizes:[ 3 ] ~ir:false ~schema:gap_schema
     ~build:(fun ~size ~seed -> Gap.make ~depth:size ~seed)
     ~trial_of:(fun ~seed ~source inst ->
       let graph = inst.Gap.graph in
@@ -1014,7 +902,7 @@ let gap =
 
 (* Every marquee family problem is registered once per applicable family
    under a family-qualified name; the instances are pure graphs, so
-   [graph_snapper] covers snapshots with no extra segments. *)
+   [plain_graph] covers snapshots with no extra columns. *)
 
 let coloring_mutants graph =
   [
@@ -1033,7 +921,7 @@ let coloring_mutants graph =
 let coloring_entry ~name ~family ~sizes ~quick_sizes ~solver ~build =
   let problem = Lcl.with_name F4.problem ~name in
   snap_entry ~name ~family ~radius:problem.Lcl.radius ~sizes ~quick_sizes ~ir:false
-    ~snapper:graph_snapper ~build
+    ~schema:plain_graph ~build
     ~trial_of:(fun ~seed ~source graph ->
       make_trial ~problem ~graph ~input:(fun _ -> ()) ~world:(F4.world graph)
         ~solvers:[ solver ] ~mutants:(coloring_mutants graph) ~source ~seed ())
@@ -1073,7 +961,7 @@ let matching_mutants graph =
 let matching_entry ~name ~family ~sizes ~quick_sizes ~build =
   let problem = Lcl.with_name FM.problem ~name in
   snap_entry ~name ~family ~radius:problem.Lcl.radius ~sizes ~quick_sizes ~ir:false
-    ~snapper:graph_snapper ~build
+    ~schema:plain_graph ~build
     ~trial_of:(fun ~seed ~source graph ->
       make_trial ~problem ~graph ~input:(fun _ -> ()) ~world:(FM.world graph)
         ~solvers:FM.solvers ~mutants:(matching_mutants graph) ~source ~seed ())
@@ -1120,7 +1008,7 @@ let mis_mutants =
 let mis_entry ~name ~family ~sizes ~quick_sizes ~build =
   let problem = Lcl.with_name FI.problem ~name in
   snap_entry ~name ~family ~radius:problem.Lcl.radius ~sizes ~quick_sizes ~ir:false
-    ~snapper:graph_snapper ~build
+    ~schema:plain_graph ~build
     ~trial_of:(fun ~seed ~source graph ->
       make_trial ~problem ~graph ~input:(fun _ -> ()) ~world:(FI.world graph)
         ~solvers:FI.solvers ~mutants:mis_mutants ~source ~seed ())
@@ -1138,7 +1026,7 @@ let regular_sinkless =
      second family next to the random-cubic entry above. *)
   let problem = Lcl.with_name SO.problem ~name:"RegularSinkless" in
   snap_entry ~name:"RegularSinkless" ~family:"d-regular" ~radius:problem.Lcl.radius
-    ~sizes:[ 20; 32 ] ~quick_sizes:[ 12 ] ~ir:false ~snapper:graph_snapper
+    ~sizes:[ 20; 32 ] ~quick_sizes:[ 12 ] ~ir:false ~schema:plain_graph
     ~build:(fun ~size ~seed -> Family.regular_of_size ~d:4 ~size ~seed)
     ~trial_of:(fun ~seed ~source graph ->
       let flip = function SO.Outgoing -> SO.Incoming | SO.Incoming -> SO.Outgoing in

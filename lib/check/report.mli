@@ -52,13 +52,7 @@ type t = {
   problems : problem_report list;
 }
 
-val mutations_total : problem_report -> int
 val mutations_rejected : problem_report -> int
-
-val problem_ok : problem_report -> bool
-(** No failures, and the fuzzer rejected at least one mutant (a problem
-    whose checker never rejects anything proves nothing) — unless the
-    ["mutate"] data phase was skipped. *)
 
 val ok : t -> bool
 

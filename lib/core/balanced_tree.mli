@@ -29,8 +29,6 @@ type node_input = {
   right_nbr : TL.ptr;
 }
 
-val tree_pointers : node_input -> TL.ptr * TL.ptr * TL.ptr
-
 val pp_node_input : Format.formatter -> node_input -> unit
 
 type verdict = Bal | Unbal

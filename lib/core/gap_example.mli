@@ -8,7 +8,7 @@
     In the query model each U-leaf climbs to its root, crosses, and
     descends the mirrored path: volume O(log n).  In CONGEST, all
     [2^k = Θ(n)] bits must cross the single root edge, so any algorithm
-    needs Ω(n/B) rounds with [B]-bit messages; {!congest_route} is a
+    needs Ω(n/B) rounds with [B]-bit messages; {!run_congest} runs a
     pipelined router that attains O(n/B + log n) rounds, giving the
     matching measured upper bound.  This problem is {e not} an LCL (its
     checkability radius grows with [n]); the paper uses it to show the
@@ -47,15 +47,8 @@ val solve : (node_input, bool option) Vc_lcl.Lcl.solver
 val solvers : (node_input, bool option) Vc_lcl.Lcl.solver list
 (** All conformance-tested solvers of the problem ([[solve]]). *)
 
-type router_state
-
-val congest_route :
-  bandwidth:int ->
-  (node_input, (int * bool) list, router_state, bool option) Vc_model.Congest.algorithm
-(** Pipelined CONGEST routing under the given per-edge bandwidth: V-leaf
-    bits flow up the V-tree, across the root edge, and down the U-tree,
-    at most [bandwidth] bits per edge per round. *)
-
 val run_congest : instance -> bandwidth:int -> bool option Vc_model.Congest.result
-(** Run {!congest_route} and return outputs plus the measured round
-    count (expected shape: Θ(n/bandwidth + log n)). *)
+(** Route under the given per-edge bandwidth: V-leaf bits flow up the
+    V-tree, across the root edge, and down the U-tree, at most
+    [bandwidth] bits per edge per round.  Returns outputs plus the
+    measured round count (expected shape: Θ(n/bandwidth + log n)). *)

@@ -7,7 +7,6 @@
 
 type parity = Even | Odd
 
-val equal_parity : parity -> parity -> bool
 val pp_parity : Format.formatter -> parity -> unit
 
 val problem : (unit, parity) Vc_lcl.Lcl.t

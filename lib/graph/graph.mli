@@ -115,10 +115,6 @@ val fold_nodes : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 
 val is_connected : t -> bool
 
-val relabel_ids : t -> ids:int array -> t
-(** Same structure, new identifiers (still validated for
-    distinctness). *)
-
 val shuffle_ids : t -> rng:Vc_rng.Splitmix.t -> t
 (** Random permutation of the identifier space [1 .. n], for experiments
     that must not depend on the default identifier order. *)

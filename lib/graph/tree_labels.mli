@@ -56,10 +56,6 @@ type balanced = {
 val make : n:int -> t
 (** All-⊥ labeling for [n] nodes. *)
 
-val deref : Graph.t -> t -> Graph.node -> ptr -> Graph.node option
-(** [deref g lab v p] follows pointer [p] out of [v]: [None] when [p] is
-    ⊥ or not a valid port at [v]. *)
-
 (** {1 Status}
 
     [status] evaluates Definition 3.3 with full knowledge of the graph.

@@ -105,14 +105,7 @@ type ('i, 'o) spec = {
 
 (** {1 Cost model} *)
 
-val default_step_cap : n:int -> program -> int
-(** The termination backstop when [max_steps] is absent: a deterministic
-    function of the claimed [n] and the code length only, so both
-    executors truncate runaway programs at the identical step. *)
-
 val step_cap : n:int -> program -> int
-
-val intersect_budget : Vc_model.Probe.budget -> Vc_model.Probe.budget -> Vc_model.Probe.budget
 
 val effective_budget : program -> Vc_model.Probe.budget -> Vc_model.Probe.budget
 (** Field-wise minimum of the program's declared envelope and the

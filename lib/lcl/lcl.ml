@@ -51,5 +51,3 @@ let volume_bounds_from_distance ~delta ~distance =
     if p = max_int then max_int else p + 1
   in
   (distance, upper)
-
-let distance_lower_bound_from_volume ~volume = volume

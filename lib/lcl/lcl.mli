@@ -72,8 +72,3 @@ val volume_bounds_from_distance : delta:int -> distance:int -> int * int
 (** Lemma 2.5: a problem solvable in distance [T] on graphs of maximum
     degree [delta] has volume between [T] and [delta^T + 1] (the returned
     pair, capped at [max_int] on overflow). *)
-
-val distance_lower_bound_from_volume : volume:int -> int
-(** Lemma 2.5's converse direction: volume [m] implies the distance cost
-    was at most [m]; hence a distance lower bound is a volume lower
-    bound.  Returns the trivial translation (identity). *)

@@ -40,10 +40,6 @@ val merge : stats -> stats -> stats
 (** Associative, commutative combination of two disjoint batches, with
     identity {!empty}; used to fold per-domain partial stats. *)
 
-val mean_volume : stats -> float
-
-val mean_distance : stats -> float
-
 val pp_stats : Format.formatter -> stats -> unit
 
 type ('i, 'o) ir_target = {

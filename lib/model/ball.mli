@@ -16,10 +16,6 @@ val gather : 'i Probe.ctx -> radius:int -> (Vc_graph.Graph.node * int) list
     explored graph, which for balls around the origin coincides with true
     graph distance. *)
 
-val gather_from :
-  'i Probe.ctx -> from:Vc_graph.Graph.node -> radius:int -> (Vc_graph.Graph.node * int) list
-(** Same, centered on an already-visited node. *)
-
 val adjacency :
   'i Probe.ctx -> Vc_graph.Graph.node -> (int * Vc_graph.Graph.node) list
 (** [(port, neighbor)] pairs already resolved at a visited node (free:

@@ -420,7 +420,3 @@ let run ~world ?randomness ?(budget = unlimited) ?trace ~origin:start algo =
              output = Hashtbl.hash output;
            }));
   result
-
-let run_exn ~world ?randomness ?budget ?trace ~origin algo =
-  let r = run ~world ?randomness ?budget ?trace ~origin algo in
-  if r.aborted then failwith "Probe.run_exn: execution exceeded its budget" else r

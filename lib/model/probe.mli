@@ -115,12 +115,3 @@ val run :
     {!Vc_obs.Trace.checking} sink makes the run a replay that asserts
     bit-identical behavior against a recorded transcript. *)
 
-val run_exn :
-  world:'i World.t ->
-  ?randomness:Vc_rng.Randomness.t ->
-  ?budget:budget ->
-  ?trace:Vc_obs.Trace.sink ->
-  origin:Vc_graph.Graph.node ->
-  ('i ctx -> 'o) ->
-  'o result
-(** Like {!run} but raises [Failure] if the run aborted. *)

@@ -65,7 +65,6 @@ type error_code =
   | Server_error  (** the handler raised; the server survives *)
 
 val code_to_string : error_code -> string
-val code_of_string : string -> error_code option
 
 (** {1 Request and reply codecs} *)
 

@@ -64,8 +64,6 @@ let error_to_string = function
   | Bad_header what -> Fmt.str "malformed header (%s)" what
   | Io msg -> Fmt.str "i/o error: %s" msg
 
-let pp_error ppf e = Fmt.string ppf (error_to_string e)
-
 (* --- FNV-1a 64 ----------------------------------------------------------- *)
 
 let fnv_offset = 0xcbf29ce484222325L

@@ -44,7 +44,6 @@ type error =
   | Io of string
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val fnv_string : string -> int64
 (** FNV-1a 64 of a string — the checksum function used throughout the

@@ -354,10 +354,6 @@ let find name =
     (fun s -> String.lowercase_ascii s.s_name = lc || String.lowercase_ascii s.s_registry = lc)
     (specs ())
 
-let specs_for ~family =
-  let lc = String.lowercase_ascii family in
-  List.filter (fun s -> String.lowercase_ascii s.s_family = lc) (specs ())
-
 (* --- running ----------------------------------------------------------------- *)
 
 type verdict = {

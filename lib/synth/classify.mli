@@ -56,10 +56,6 @@ val specs : unit -> spec list
 val find : string -> spec option
 (** By {!spec.s_name} (case-insensitive); also accepts the registry name. *)
 
-val specs_for : family:string -> spec list
-(** The specs whose certificate corpus lives on [family]
-    (case-insensitive exact match on {!spec.s_family}); no new verdicts
-    — the same ladders, restricted to one graph family. *)
 
 type verdict = {
   v_problem : string;
@@ -82,13 +78,11 @@ val ladder : ?certify:bool -> spec -> (verdict list, string) result
     head is the minimal-feasible witness rung and the last rung is the
     infeasibility certificate. *)
 
-val verdict_json : verdict -> Vc_obs.Json.t
-(** Machine-readable verdict: problem, budget, outcome, witness program
-    (when SAT), solver statistics, CEGIS accounting, and the DRUP
-    replay's verdict ([certified]) with its failure reason
-    ([certify_error], null unless [certified] is false). *)
-
 val table_json : verdict list -> Vc_obs.Json.t
+(** [{"verdicts": [...]}], one object per verdict: problem, budget,
+    outcome, witness program (when SAT), solver statistics, CEGIS
+    accounting, and the DRUP replay's verdict ([certified]) with its
+    failure reason ([certify_error], null unless [certified] is false). *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 

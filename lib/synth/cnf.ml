@@ -14,7 +14,6 @@ let add t lits =
   t.n_clauses <- t.n_clauses + 1
 
 let implies t a b = add t [ -a; b ]
-let implies_clause t a ls = add t (-a :: ls)
 
 let at_most_one t ls =
   let rec pairs = function

@@ -20,10 +20,6 @@ val add : t -> int list -> unit
 val implies : t -> int -> int -> unit
 (** [implies t a b]: a → b. *)
 
-val implies_clause : t -> int -> int list -> unit
-(** [implies_clause t a ls]: a → (l1 ∨ …).  Antecedent [a] is a
-    literal, so [implies_clause t (-g) ls] encodes ¬g → (…). *)
-
 val at_most_one : t -> int list -> unit
 (** Pairwise at-most-one over literals. *)
 

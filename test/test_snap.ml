@@ -238,6 +238,95 @@ let test_registry_acquire () =
   Alcotest.(check bool) "hit is `Snapshot" true (trial.Registry.t_source = `Snapshot);
   Alcotest.(check int) "node counts agree" n_cold trial.Registry.t_n
 
+(* Golden snapshot bytes: every registry entry published at its first
+   quick size, seed 42, must write exactly these files, so a codec
+   rewrite that renames, reorders or re-encodes a segment shows here
+   before it strands an existing store.  The payload is raw host words
+   (see [Snap]), so these digests assume a 64-bit little-endian host. *)
+let golden_md5 =
+  [
+    ("DegreeParity", "c5f130d5d15ee862b80d0e02ea6a38b5");
+    ("CycleColoring3", "b0223b7fed20fc0bda78ce74555a32a6");
+    ("SinklessOrientation", "bccff66a62c11ebf45875fa546582cdf");
+    ("LeafColoring", "06002c8f7ac88404a9f0e30af56df805");
+    ("PromiseLeafColoring (secret)", "77a98b57334f0073fd70cbc29b44eb96");
+    ("BalancedTree", "5d4213ae2b047390ca2e12736db33dde");
+    ("Hierarchical-THC(2)", "0490b2e32cab80057c5ca7f5706b98bd");
+    ("Hybrid-THC(2)", "8a6ac9d165a81394d0628ddc8f4ba466");
+    ("HH-THC(2,3)", "463bc607ed66b28bb393a6fc0c45d78d");
+    ("LeafBitCopy (Ex 7.6)", "73bd94ff06a5666160399394ad805278");
+    ("TorusColoring4", "64f14435f2ff050a82cab77766b22046");
+    ("RegularColoring4", "2c110c05cdba81aa97eaf79451efd7b2");
+    ("TorusMatching", "84466313d4b3aa0583ec174d4ff1508e");
+    ("RegularMatching", "c59d927ea811d7ce0329448ce262c8d2");
+    ("RegularMIS", "21f447095e543474d6f67853985c13a6");
+    ("ExpanderMIS", "de3d6bfd609a9ad0f5a44ac611bc55a7");
+    ("RegularSinkless", "843449a00748ff2aa3d7fe9129a9d4c8");
+  ]
+
+let test_registry_golden_bytes () =
+  with_store ~builder_version:Registry.builder_version @@ fun store ->
+  let got =
+    List.map
+      (fun (e : Registry.entry) ->
+        let size = List.hd e.Registry.quick_sizes and seed = 42L in
+        ignore (e.Registry.acquire ~store ~size ~seed () : int);
+        let path = Store.path store ~problem:e.Registry.name ~size ~seed in
+        (e.Registry.name, Digest.to_hex (Digest.file path)))
+      (Registry.all ())
+  in
+  Alcotest.(check (list (pair string string))) "snapshot MD5 per entry" golden_md5 got
+
+(* A store file with a label column dropped or one word short must
+   decode to a miss: [make] cold-builds the same instance instead. *)
+let test_registry_decode_miss () =
+  let drop col segs = List.filter (fun (name, _) -> name <> col) segs in
+  let truncate col segs =
+    List.map
+      (fun (name, a) ->
+        if name = col then (name, Iarr.sub a ~pos:0 ~len:(Iarr.length a - 1)) else (name, a))
+      segs
+  in
+  let cases =
+    [
+      ("LeafColoring", [ ("lc.color", drop); ("tl.left", truncate) ]);
+      ("BalancedTree", [ ("bt.parent", drop); ("bt.right_nbr", truncate) ]);
+      ("Hybrid-THC(2)", [ ("hy.level", drop); ("hy.color", truncate) ]);
+      ("HH-THC(2,3)", [ ("hy.left_nbr", drop); ("hh.bit", truncate) ]);
+      ("LeafBitCopy (Ex 7.6)", [ ("gap.depth", drop); ("gap.bits", truncate) ]);
+    ]
+  in
+  List.iter
+    (fun (problem, damages) ->
+      let e = List.find (fun (e : Registry.entry) -> e.Registry.name = problem) (Registry.all ()) in
+      let size = List.hd e.Registry.quick_sizes and seed = 42L in
+      let cold_n = (e.Registry.make ~size ~seed ()).Registry.t_n in
+      List.iter
+        (fun (col, damage) ->
+          with_store ~builder_version:Registry.builder_version @@ fun store ->
+          ignore (e.Registry.acquire ~store ~size ~seed () : int);
+          let l =
+            match Store.load store ~problem ~size ~seed with
+            | Some l -> l
+            | None -> Alcotest.failf "%s: published snapshot misses" problem
+          in
+          let segments =
+            List.map
+              (fun s -> (s.Snap.seg_name, Option.get (Snap.seg_find l s.Snap.seg_name)))
+              l.Snap.hdr.Snap.segments
+          in
+          let what = Printf.sprintf "%s without a whole %s" problem col in
+          Alcotest.(check bool) (what ^ ": column exists") true (List.mem_assoc col segments);
+          Alcotest.(check bool)
+            (what ^ ": republished") true
+            (Store.publish store ~problem ~size ~seed ~n:l.Snap.hdr.Snap.n
+               ~segments:(damage col segments));
+          let t = e.Registry.make ~store ~size ~seed () in
+          Alcotest.(check bool) (what ^ ": cold build") true (t.Registry.t_source = `Built);
+          Alcotest.(check int) (what ^ ": node count") cold_n t.Registry.t_n)
+        damages)
+    cases
+
 (* --- qcheck properties --------------------------------------------------------- *)
 
 let printable_string_gen =
@@ -298,6 +387,10 @@ let suites =
         Alcotest.test_case "registry-v1 store never serves registry-v2" `Quick
           test_store_registry_v1_stale;
         Alcotest.test_case "registry acquire populates and hits" `Quick test_registry_acquire;
+        Alcotest.test_case "registry snapshot bytes are golden" `Quick
+          test_registry_golden_bytes;
+        Alcotest.test_case "damaged label column is a cold build" `Quick
+          test_registry_decode_miss;
         QCheck_alcotest.to_alcotest qcheck_header_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_header_garbage;
         QCheck_alcotest.to_alcotest qcheck_load_garbage;
