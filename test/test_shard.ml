@@ -184,12 +184,12 @@ let qcheck_fuzz_garbage =
 
 (* --- fault injection ---------------------------------------------------------- *)
 
-(* The supervisor loop blocks, so it runs in a forked child (workers are
-   its forked grandchildren); the test drives it as a client over a
-   Unix-domain socket.  The listening socket is bound before the fork,
-   so the backlog accepts our connect even before the child enters its
-   select loop — no retry dance. *)
-let with_supervisor ?(workers = 2) ?(cache_capacity = 4) ?(queue_depth = 8) ?snap_dir f =
+(* A serving loop blocks, so it runs in a forked child (a supervisor's
+   workers are its forked grandchildren); the test drives it as a client
+   over a Unix-domain socket and gets the socket path.  The listening
+   socket is bound before the fork, so the backlog accepts our connect
+   even before the child enters its select loop — no retry dance. *)
+let with_tier serve f =
   let dir = Filename.temp_file "vc_shard" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -199,19 +199,8 @@ let with_supervisor ?(workers = 2) ?(cache_capacity = 4) ?(queue_depth = 8) ?sna
   | 0 ->
       let code =
         try
-          (* with a snapshot store the test reads the supervisor's own
-             rewarm_snap/rewarm_build counters, so metering must be on in
-             this process too, not just in the workers *)
-          if snap_dir <> None then Metrics.set_enabled true;
-          ignore
-            (Supervisor.run ~workers ~cache_capacity ~queue_depth
-               ~spawn:
-                 (Supervisor.fork_spawn (fun () ->
-                      Metrics.set_enabled true;
-                      let store = Option.map (fun d -> Registry.store ~dir:d) snap_dir in
-                      Handler.create ~cache_capacity ?store ()))
-               ~listen ()
-              : int);
+          Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+          serve listen;
           0
         with _ -> 1
       in
@@ -225,12 +214,30 @@ let with_supervisor ?(workers = 2) ?(cache_capacity = 4) ?(queue_depth = 8) ?sna
         (try Unix.unlink path with Unix.Unix_error _ -> ());
         try Unix.rmdir dir with Unix.Unix_error _ -> ()
       in
-      Fun.protect ~finally (fun () ->
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_UNIX path);
-          Fun.protect
-            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () -> f fd))
+      Fun.protect ~finally (fun () -> f path)
+
+let with_conn path f =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) (fun () -> f fd)
+
+let with_supervisor ?(workers = 2) ?(cache_capacity = 4) ?(queue_depth = 8) ?snap_dir f =
+  with_tier
+    (fun listen ->
+      (* with a snapshot store the test reads the supervisor's own
+         rewarm_snap/rewarm_build counters, so metering must be on in
+         this process too, not just in the workers *)
+      if snap_dir <> None then Metrics.set_enabled true;
+      ignore
+        (Supervisor.run ~workers ~cache_capacity ~queue_depth
+           ~spawn:
+             (Supervisor.fork_spawn (fun () ->
+                  Metrics.set_enabled true;
+                  let store = Option.map (fun d -> Registry.store ~dir:d) snap_dir in
+                  Handler.create ~cache_capacity ?store ()))
+           ~listen ()
+          : int))
+    (fun path -> with_conn path f)
 
 let send_raw fd s =
   let len = String.length s in
@@ -259,6 +266,16 @@ let read_bodies fd count =
   List.rev !got
 
 let read_body fd = match read_bodies fd 1 with [ b ] -> b | _ -> assert false
+
+(* The peer must close the connection: the next read sees EOF within
+   5 s, never more bytes or a hang. *)
+let expect_eof fd =
+  match Unix.select [ fd ] [] [] 5.0 with
+  | [], _, _ -> Alcotest.fail "connection still open after a bad-frame reply"
+  | _ -> (
+      match Unix.read fd (Bytes.create 1) 0 1 with
+      | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
+      | _ -> Alcotest.fail "bytes after a bad-frame reply")
 
 let parse_reply body =
   match Result.bind (Json.parse body) Protocol.reply_of_json with
@@ -480,6 +497,68 @@ let test_wedged_shard_sheds () =
       Alcotest.(check string) "post-shed recovery" (expect_ok ~id:6 q_a) (ask 6 q_a);
       ignore (ask 7 Protocol.Shutdown : string))
 
+(* --- hostile ingress ----------------------------------------------------------- *)
+
+(* Ingress rejection (bad framing, bad JSON, an invalid request) happens
+   before any routing, so a sharded tier must answer a hostile client
+   with exactly the bytes a single-process server sends.  One connection
+   per case: the raw bytes, written at once; the replies they draw; and
+   whether the server must then close the connection. *)
+let hostile_cases =
+  [
+    ("abc 2\n{}\n", 1, true);
+    (Printf.sprintf "%d {}\n" (Protocol.max_frame_bytes + 1), 1, true);
+    ( String.concat ""
+        (List.map Protocol.frame
+           [
+             "{nope";
+             {|{"id":7,"kind":"frobnicate"}|};
+             {|{"id":-3,"kind":"frobnicate"}|};
+             {|{"kind":"frobnicate"}|};
+           ]),
+      4,
+      false );
+  ]
+
+(* Each tier runs in a forked child: this module must stay single-domain
+   (see the ordering constraint at the top). *)
+let hostile_replies serve =
+  with_tier serve (fun path ->
+      let replies =
+        List.map
+          (fun (bytes, count, closes) ->
+            with_conn path (fun c ->
+                send_raw c bytes;
+                let bodies = read_bodies c count in
+                if closes then expect_eof c;
+                bodies))
+          hostile_cases
+      in
+      with_conn path (fun c ->
+          send_request c { Protocol.id = 1; deadline_ms = None; query = Protocol.Shutdown };
+          ignore (read_body c : string));
+      List.concat replies)
+
+let test_hostile_ingress_bytes () =
+  let single =
+    hostile_replies (fun listen ->
+        ignore (Server.run ~handler:(Handler.create ()) ~listen () : int))
+  in
+  let sharded =
+    hostile_replies (fun listen ->
+        ignore
+          (Supervisor.run ~workers:2 ~spawn:(Supervisor.fork_spawn Handler.create) ~listen ()
+            : int))
+  in
+  Alcotest.(check (list string)) "sharded ingress replies are single-process bytes" single sharded;
+  List.iter2
+    (fun want body ->
+      match parse_reply body with
+      | { Protocol.r_id; body = Error (Protocol.Bad_request, _) } ->
+          Alcotest.(check int) ("reply id of " ^ body) want r_id
+      | _ -> Alcotest.failf "expected a bad_request reply, got %s" body)
+    [ 0; 0; 0; 7; 0; 0 ] single
+
 let suites =
   [
     ( "shard:ring",
@@ -503,5 +582,7 @@ let suites =
         Alcotest.test_case "re-warm loads the snapshot, not a rebuild" `Quick
           test_snap_rewarm;
         Alcotest.test_case "wedged shard sheds, others serve" `Quick test_wedged_shard_sheds;
+        Alcotest.test_case "hostile ingress: sharded bytes = single-process" `Quick
+          test_hostile_ingress_bytes;
       ] );
   ]
