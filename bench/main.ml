@@ -909,22 +909,6 @@ let measure_saturation ~exe ~quick =
       devnull devnull Unix.stderr
   in
   Unix.close devnull;
-  let connect () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX socket);
-    fd
-  in
-  let rec wait tries =
-    if tries = 0 then failwith "saturation: sharded server did not come up within 10 s"
-    else
-      match connect () with
-      | fd -> Unix.close fd
-      | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.ENOTSOCK), _, _)
-        ->
-          Unix.sleepf 0.01;
-          wait (tries - 1)
-  in
-  wait 1000;
   let rates =
     if quick then [ 250.; 1000.; 4000. ] else [ 250.; 500.; 1000.; 2000.; 4000.; 8000. ]
   in
@@ -945,7 +929,7 @@ let measure_saturation ~exe ~quick =
             o_prewarm = true;
           }
         in
-        match Vc_serve.Loadgen.run_open ~connect cfg with
+        match Vc_serve.Loadgen.run_open ~addr:(Unix.ADDR_UNIX socket) cfg with
         | Ok s ->
             {
               st_rate = rate;

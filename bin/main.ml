@@ -1322,12 +1322,6 @@ let loadgen_cmd =
           | Some port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
           | None -> Unix.ADDR_UNIX socket
         in
-        let connect () =
-          let dom = match tcp with Some _ -> Unix.PF_INET | None -> Unix.PF_UNIX in
-          let fd = Unix.socket dom Unix.SOCK_STREAM 0 in
-          Unix.connect fd addr;
-          fd
-        in
         let server_pid =
           if not spawn then None
           else begin
@@ -1344,21 +1338,7 @@ let loadgen_cmd =
                 devnull devnull
             in
             Unix.close devnull;
-            (* wait until the daemon accepts connections *)
-            let rec wait tries =
-              if tries = 0 then begin
-                (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-                ignore (Unix.waitpid [] pid);
-                failwith "spawned server did not come up within 10 s"
-              end
-              else
-                match connect () with
-                | fd -> Unix.close fd
-                | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
-                    Unix.sleepf 0.01;
-                    wait (tries - 1)
-            in
-            wait 1000;
+            (* loadgen's connects wait for the daemon to accept *)
             Some pid
           end
         in
@@ -1386,7 +1366,7 @@ let loadgen_cmd =
                 shutdown = spawn;
               }
             in
-            let result = Vc_serve.Loadgen.run ~connect cfg in
+            let result = Vc_serve.Loadgen.run ~addr cfg in
             reap result;
             match result with
             | Error msg ->
@@ -1409,7 +1389,7 @@ let loadgen_cmd =
                 o_prewarm = prewarm;
               }
             in
-            let result = Vc_serve.Loadgen.run_open ~connect cfg in
+            let result = Vc_serve.Loadgen.run_open ~addr cfg in
             reap result;
             match result with
             | Error msg ->

@@ -634,11 +634,14 @@ let sinkless =
           ]
         ~source ~seed ())
 
-(* Mutation kinds shared by LeafColoring and its promise variant. *)
+(* Mutation kinds shared by LeafColoring and its promise variant.  The
+   site lists here and in the entries below are computed on the first
+   mutant call: building a trial (a serve session, a snapshot load) never
+   mutates, and the mutate phase runs on one domain. *)
 let lc_mutants inst =
   let graph = inst.LC.graph in
   let leaves =
-    nodes_where graph (fun v -> TL.equal_status (TL.status graph inst.LC.labels v) TL.Leaf)
+    lazy (nodes_where graph (fun v -> TL.equal_status (TL.status graph inst.LC.labels v) TL.Leaf))
   in
   [
     ( "relabel-node",
@@ -648,14 +651,14 @@ let lc_mutants inst =
         out_mutant v out );
     ( "recolor-leaf",
       fun rng out ->
-        match pick rng leaves with
+        match pick rng (Lazy.force leaves) with
         | None -> None
         | Some v ->
             out.(v) <- TL.flip_color out.(v);
             out_mutant v out );
     ( "break-input-color",
       fun rng out ->
-        match pick rng leaves with
+        match pick rng (Lazy.force leaves) with
         | None -> None
         | Some v ->
             let base = LC.input inst in
@@ -709,14 +712,15 @@ let balanced_tree =
       (* consistent nodes whose output is forced by Definition 4.3:
          every leaf, and every incompatible internal node *)
       let forced =
-        nodes_where graph (fun v ->
-            match BT.status inst v with
-            | TL.Inconsistent -> false
-            | TL.Leaf -> true
-            | TL.Internal -> not (BT.compatible inst v))
+        lazy
+          (nodes_where graph (fun v ->
+               match BT.status inst v with
+               | TL.Inconsistent -> false
+               | TL.Leaf -> true
+               | TL.Internal -> not (BT.compatible inst v)))
       in
       let laterals =
-        nodes_where graph (fun v -> inst.BT.labels.(v).BT.left_nbr <> TL.bot)
+        lazy (nodes_where graph (fun v -> inst.BT.labels.(v).BT.left_nbr <> TL.bot))
       in
       let flip = function BT.Bal -> BT.Unbal | BT.Unbal -> BT.Bal in
       make_trial ~problem ~graph ~input ~world:(BT.world inst) ~solvers:BT.solvers
@@ -726,14 +730,14 @@ let balanced_tree =
           [
             ( "flip-verdict",
               fun rng out ->
-                match pick rng forced with
+                match pick rng (Lazy.force forced) with
                 | None -> None
                 | Some v ->
                     out.(v) <- { out.(v) with BT.verdict = flip out.(v).BT.verdict };
                     out_mutant v out );
             ( "swap-port",
               fun rng out ->
-                match pick rng forced with
+                match pick rng (Lazy.force forced) with
                 | None -> None
                 | Some v ->
                     out.(v) <-
@@ -741,7 +745,7 @@ let balanced_tree =
                     out_mutant v out );
             ( "erase-lateral",
               fun rng out ->
-                match pick rng laterals with
+                match pick rng (Lazy.force laterals) with
                 | None -> None
                 | Some v ->
                     let mutated u =
@@ -761,13 +765,13 @@ let hierarchical =
       let graph = H.graph inst in
       let input = H.input inst in
       let access = H.graph_access inst in
-      let level1 = nodes_where graph (fun v -> H.level access ~k v = 1) in
+      let level1 = lazy (nodes_where graph (fun v -> H.level access ~k v = 1)) in
       make_trial ~problem ~graph ~input ~world:(H.world inst) ~solvers:(H.solvers ~k)
         ~mutants:
           [
             ( "exempt-level-1",
               fun rng out ->
-                match pick rng level1 with
+                match pick rng (Lazy.force level1) with
                 | None -> None
                 | Some v ->
                     out.(v) <- H.Exempt;
@@ -800,13 +804,13 @@ let hybrid =
     ~trial_of:(fun ~seed ~source inst ->
       let graph = inst.Hy.graph in
       let input = Hy.input inst in
-      let high = nodes_where graph (fun v -> (input v).Hy.level >= 2) in
+      let high = lazy (nodes_where graph (fun v -> (input v).Hy.level >= 2)) in
       make_trial ~problem ~graph ~input ~world:(Hy.world inst) ~solvers:(Hy.solvers ~k)
         ~mutants:
           [
             ( "solved-junk",
               fun rng out ->
-                match pick rng high with
+                match pick rng (Lazy.force high) with
                 | None -> None
                 | Some v ->
                     out.(v) <- Hy.Solved { BT.verdict = BT.Bal; port = TL.bot };
@@ -832,16 +836,17 @@ let hh =
       let graph = inst.HH.graph in
       let input = HH.input inst in
       let hy_high =
-        nodes_where graph (fun v ->
-            let i = input v in
-            i.HH.bit && i.HH.hy.Hy.level >= 2)
+        lazy
+          (nodes_where graph (fun v ->
+               let i = input v in
+               i.HH.bit && i.HH.hy.Hy.level >= 2))
       in
       make_trial ~problem ~graph ~input ~world:(HH.world inst) ~solvers:(HH.solvers ~k ~l)
         ~mutants:
           [
             ( "solved-junk-bit1",
               fun rng out ->
-                match pick rng hy_high with
+                match pick rng (Lazy.force hy_high) with
                 | None -> None
                 | Some v ->
                     out.(v) <- Hy.Solved { BT.verdict = BT.Bal; port = TL.bot };

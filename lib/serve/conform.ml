@@ -5,20 +5,18 @@ module Registry = Vc_check.Registry
 let ( let* ) = Result.bind
 
 (* Push one request through the same codec path the daemon uses:
-   encode, frame, incremental decode, parse, handle, encode the reply,
-   parse it back.  Returns the reply body. *)
+   encode, frame, the daemon's ingress ({!Wire.next_request}), handle,
+   encode the reply, parse it back.  Returns the reply body. *)
 let round_trip handler req =
   let wire = Protocol.frame (Json.to_string (Protocol.request_to_json req)) in
   let dec = Protocol.decoder () in
   Protocol.feed dec (Bytes.of_string wire) (String.length wire);
-  let* body =
-    match Protocol.next_frame dec with
-    | Ok (Some body) -> Ok body
-    | Ok None -> Error "request frame did not decode in one piece"
-    | Error msg -> Error ("request framing: " ^ msg)
+  let* parsed =
+    match Wire.next_request dec with
+    | Some (Ok req) -> Ok req
+    | Some (Error { Wire.message; _ }) -> Error ("request rejected: " ^ message)
+    | None -> Error "request frame did not decode in one piece"
   in
-  let* v = Json.parse body in
-  let* parsed = Protocol.request_of_json v in
   if parsed <> req then Error "request changed across encode/decode"
   else
     let reply_json =
@@ -122,46 +120,6 @@ let probe (e : Registry.entry) ~size ~seed =
 
 (* --- the sharded oracle probe ------------------------------------------------- *)
 
-let write_all fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd s !off (len - !off)
-  done
-
-let read_body fd dec buf =
-  let rec go () =
-    match Protocol.next_frame dec with
-    | Ok (Some body) -> Ok body
-    | Error msg -> Error ("reply framing: " ^ msg)
-    | Ok None -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> Error "supervisor closed the connection mid-reply"
-        | n ->
-            Protocol.feed dec buf n;
-            go ())
-  in
-  go ()
-
-(* The supervisor binds its socket after spawning workers; retry until
-   it is accepting (a stale temp file connects with ECONNREFUSED or
-   ENOTSOCK until then). *)
-let connect_retry path =
-  let rec go tries =
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> Ok fd
-    | exception
-        Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.ENOTSOCK), _, _) ->
-        Unix.close fd;
-        if tries <= 0 then Error "supervisor did not start accepting connections"
-        else begin
-          ignore (Unix.select [] [] [] 0.01);
-          go (tries - 1)
-        end
-  in
-  go 1000
-
 let shard_probe ~exe ~workers (e : Registry.entry) ~size ~seed =
   let twin = Handler.create () in
   let problem = e.Registry.name in
@@ -187,21 +145,17 @@ let shard_probe ~exe ~workers (e : Registry.entry) ~size ~seed =
   Unix.close devnull;
   let conn = ref None in
   let finally () =
-    (match !conn with Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ()) | None -> ());
+    Option.iter Wire.close !conn;
     (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
     (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
     try Unix.unlink socket with Unix.Unix_error _ -> ()
   in
   Fun.protect ~finally (fun () ->
-      let* fd = connect_retry socket in
-      conn := Some fd;
-      let dec = Protocol.decoder () in
-      let buf = Bytes.create 65536 in
+      let* ch = Wire.connect (Unix.ADDR_UNIX socket) in
+      conn := Some ch;
       let ask id query =
-        write_all fd
-          (Protocol.frame
-             (Json.to_string (Protocol.request_to_json { Protocol.id; deadline_ms = None; query })));
-        read_body fd dec buf
+        Wire.send ch { Protocol.id; deadline_ms = None; query };
+        Wire.read_body ch
       in
       (* every reply must be, byte for byte, what a single-process
          server over the full registry would have sent *)

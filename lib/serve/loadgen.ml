@@ -106,36 +106,21 @@ let gen_plan twin entries ~mix ~seed ~requests =
 
 (* --- wire helpers ------------------------------------------------------------- *)
 
-let write_all fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd s !off (len - !off)
-  done
-
 exception Fail of string
 
-let rec read_frame fd dec buf =
-  match Protocol.next_frame dec with
-  | Ok (Some body) -> body
-  | Error msg -> raise (Fail ("reply framing: " ^ msg))
-  | Ok None -> (
-      match Unix.read fd buf 0 (Bytes.length buf) with
-      | 0 -> raise (Fail "server closed the connection mid-reply")
-      | n ->
-          Protocol.feed dec buf n;
-          read_frame fd dec buf)
+let ok_or_fail = function Ok v -> v | Error msg -> raise (Fail msg)
+let connect addr = ok_or_fail (Wire.connect addr)
 
-let read_reply fd dec buf =
-  let body = read_frame fd dec buf in
-  match Json.parse body with
-  | Error msg -> raise (Fail ("reply is not JSON: " ^ msg))
-  | Ok v -> (
-      match Protocol.reply_of_json v with
-      | Error msg -> raise (Fail ("bad reply: " ^ msg))
-      | Ok r -> r)
+let read_reply ch =
+  let body = ok_or_fail (Wire.read_body ch) in
+  match Result.bind (Json.parse body) Protocol.reply_of_json with
+  | Ok r -> r
+  | Error msg -> raise (Fail ("bad reply: " ^ msg))
 
-let send fd req = write_all fd (Protocol.frame (Json.to_string (Protocol.request_to_json req)))
+(* One blocking round trip of a control request (no deadline). *)
+let call ch id query =
+  Wire.send ch { Protocol.id; deadline_ms = None; query };
+  read_reply ch
 
 (* --- tallies shared by both loops --------------------------------------------- *)
 
@@ -216,13 +201,12 @@ let percentiles_of samples =
 (* --- the closed loop ---------------------------------------------------------- *)
 
 type client = {
-  fd : Unix.file_descr;
-  dec : Protocol.decoder;
+  ch : Wire.t;
   mutable todo : (int * Protocol.query) list;  (** (request id, query), in order *)
   mutable inflight : (int * Protocol.query * float) option;
 }
 
-let run ~connect cfg =
+let run ~addr cfg =
   if cfg.clients < 1 then invalid_arg "Loadgen.run: clients must be >= 1";
   if cfg.requests < 0 then invalid_arg "Loadgen.run: requests must be >= 0";
   if cfg.mix = [] || List.exists (fun (_, w) -> w <= 0) cfg.mix then
@@ -232,7 +216,7 @@ let run ~connect cfg =
   match
     let plan = gen_plan twin entries ~mix:cfg.mix ~seed:cfg.seed ~requests:cfg.requests in
     let clients =
-      List.init cfg.clients (fun _ -> { fd = connect (); dec = Protocol.decoder (); todo = []; inflight = None })
+      List.init cfg.clients (fun _ -> { ch = connect addr; todo = []; inflight = None })
     in
     let carr = Array.of_list clients in
     List.iteri
@@ -240,13 +224,12 @@ let run ~connect cfg =
         let c = carr.(i mod cfg.clients) in
         c.todo <- c.todo @ [ (i + 1, q) ])
       plan;
-    let buf = Bytes.create 65536 in
     let tally = tally_create () in
     let settle c =
       match c.inflight with
       | None -> ()
       | Some (id, q, t0) ->
-          let r = read_reply c.fd c.dec buf in
+          let r = read_reply c.ch in
           note_latency tally (Protocol.kind q)
             (int_of_float (Float.max 0. ((Unix.gettimeofday () -. t0) *. 1e6)));
           c.inflight <- None;
@@ -269,7 +252,7 @@ let run ~connect cfg =
           | (id, q) :: rest ->
               c.todo <- rest;
               let t0 = Unix.gettimeofday () in
-              send c.fd { Protocol.id; deadline_ms = cfg.deadline_ms; query = q };
+              Wire.send c.ch { Protocol.id; deadline_ms = cfg.deadline_ms; query = q };
               c.inflight <- Some (id, q, t0))
         carr;
       Array.iter settle carr
@@ -277,19 +260,14 @@ let run ~connect cfg =
     let wall = Unix.gettimeofday () -. t_start in
     (* control requests on client 0: a stats snapshot for the report,
        then (optionally) shutdown; neither counts toward the summary *)
-    let c0 = carr.(0) in
-    let control id query =
-      send c0.fd { Protocol.id; deadline_ms = None; query };
-      read_reply c0.fd c0.dec buf
-    in
+    let c0 = carr.(0).ch in
     let server_stats =
-      match (control (cfg.requests + 1) Protocol.Stats).Protocol.body with
+      match (call c0 (cfg.requests + 1) Protocol.Stats).Protocol.body with
       | Ok payload -> Some payload
       | Error _ -> None
     in
-    if cfg.shutdown then
-      ignore (control (cfg.requests + 2) Protocol.Shutdown : Protocol.reply);
-    Array.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) carr;
+    if cfg.shutdown then ignore (call c0 (cfg.requests + 2) Protocol.Shutdown : Protocol.reply);
+    Array.iter (fun c -> Wire.close c.ch) carr;
     {
       s_clients = cfg.clients;
       s_requests = cfg.requests;
@@ -342,8 +320,7 @@ type open_summary = {
 }
 
 type oconn = {
-  oc_fd : Unix.file_descr;
-  oc_dec : Protocol.decoder;
+  oc : Wire.t;
   oc_out : Buffer.t;
   mutable oc_off : int;  (** bytes of [oc_out] already written *)
   oc_pending : (int, Protocol.query * float) Hashtbl.t;
@@ -352,12 +329,10 @@ type oconn = {
 (* How many shards does the server report?  One connection per shard
    keeps a sharded tier's per-worker channels independently busy; a
    single-process server reports no shards and gets one connection. *)
-let discover_shards ~connect buf =
-  let fd = connect () in
-  let dec = Protocol.decoder () in
-  send fd { Protocol.id = 1; deadline_ms = None; query = Protocol.Stats };
-  let r = read_reply fd dec buf in
-  (try Unix.close fd with Unix.Unix_error _ -> ());
+let discover_shards addr =
+  let ch = connect addr in
+  let r = call ch 1 Protocol.Stats in
+  Wire.close ch;
   match r.Protocol.body with
   | Ok payload -> (
       match Json.member payload "shards" with
@@ -379,7 +354,7 @@ let shard_inflight stats =
         rows
   | _ -> []
 
-let run_open ~connect cfg =
+let run_open ~addr cfg =
   if cfg.o_rate <= 0. then invalid_arg "Loadgen.run_open: rate must be > 0";
   if cfg.o_requests < 0 then invalid_arg "Loadgen.run_open: requests must be >= 0";
   if cfg.o_mix = [] || List.exists (fun (_, w) -> w <= 0) cfg.o_mix then
@@ -389,22 +364,20 @@ let run_open ~connect cfg =
   | _ -> ());
   let twin = Handler.create () in
   let entries = Registry.all () in
-  let buf = Bytes.create 65536 in
   match
     let plan =
       gen_plan twin entries ~mix:cfg.o_mix ~seed:cfg.o_seed ~requests:cfg.o_requests
       |> Array.of_list
     in
     let n_conns =
-      match cfg.o_conns with Some c -> c | None -> discover_shards ~connect buf
+      match cfg.o_conns with Some c -> c | None -> discover_shards addr
     in
     let conns =
       Array.init n_conns (fun _ ->
-          let fd = connect () in
-          Unix.set_nonblock fd;
+          let oc = connect addr in
+          Unix.set_nonblock oc.Wire.fd;
           {
-            oc_fd = fd;
-            oc_dec = Protocol.decoder ();
+            oc;
             oc_out = Buffer.create 4096;
             oc_off = 0;
             oc_pending = Hashtbl.create 16;
@@ -437,25 +410,18 @@ let run_open ~connect cfg =
                      end
                  | Protocol.List | Protocol.Stats | Protocol.Shutdown -> None)
         in
-        let fd = connect () in
-        let dec = Protocol.decoder () in
+        let ch = connect addr in
         let cold = ref 0 in
         List.iteri
           (fun i (problem, size, seed) ->
-            send fd
-              {
-                Protocol.id = i + 1;
-                deadline_ms = None;
-                query = Protocol.Warm { problem; size; seed };
-              };
-            match (read_reply fd dec buf).Protocol.body with
+            match (call ch (i + 1) (Protocol.Warm { problem; size; seed })).Protocol.body with
             | Ok payload -> (
                 match Option.bind (Json.member payload "source") Json.to_str with
                 | Some "cache" | None -> ()
                 | Some _ -> incr cold)
             | Error _ -> ())
           keys;
-        (try Unix.close fd with Unix.Unix_error _ -> ());
+        Wire.close ch;
         Some (List.length keys, !cold)
       end
     in
@@ -494,7 +460,7 @@ let run_open ~connect cfg =
               note_error tally code)
     in
     let rec drain c =
-      match Protocol.next_frame c.oc_dec with
+      match Protocol.next_frame c.oc.Wire.dec with
       | Ok None -> ()
       | Error msg -> raise (Fail ("reply framing: " ^ msg))
       | Ok (Some body) ->
@@ -526,22 +492,22 @@ let run_open ~connect cfg =
       let timeout =
         if !sent < total then Float.max 0. (Float.min 0.05 (!next_arrival -. now)) else 0.05
       in
-      let rd = Array.to_list (Array.map (fun c -> c.oc_fd) conns) in
+      let rd = Array.to_list (Array.map (fun c -> c.oc.Wire.fd) conns) in
       let wr =
         Array.to_list conns
         |> List.filter_map (fun c ->
-               if Buffer.length c.oc_out > c.oc_off then Some c.oc_fd else None)
+               if Buffer.length c.oc_out > c.oc_off then Some c.oc.Wire.fd else None)
       in
       let readable, writable, _ = Unix.select rd wr [] timeout in
       Array.iter
         (fun c ->
-          if List.mem c.oc_fd writable then begin
+          if List.mem c.oc.Wire.fd writable then begin
+            (* one write per readiness; what does not fit waits for the
+               next select *)
             let s = Buffer.contents c.oc_out in
             let len = String.length s in
             (try
-               while c.oc_off < len do
-                 c.oc_off <- c.oc_off + Unix.write_substring c.oc_fd s c.oc_off (len - c.oc_off)
-               done
+               c.oc_off <- c.oc_off + Unix.write_substring c.oc.Wire.fd s c.oc_off (len - c.oc_off)
              with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
             if c.oc_off >= len then begin
               Buffer.clear c.oc_out;
@@ -551,30 +517,24 @@ let run_open ~connect cfg =
         conns;
       Array.iter
         (fun c ->
-          if List.mem c.oc_fd readable then
-            match Unix.read c.oc_fd buf 0 (Bytes.length buf) with
-            | 0 -> raise (Fail "server closed the connection mid-run")
-            | n ->
-                Protocol.feed c.oc_dec buf n;
-                drain c
+          if List.mem c.oc.Wire.fd readable then
+            match Wire.read c.oc with
+            | Wire.Eof -> raise (Fail "server closed the connection mid-run")
+            | Wire.Data -> drain c
             | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
         conns
     done;
     let wall = Float.max 1e-9 (!t_last -. t_start) in
     (* control requests go over a blocking connection of their own *)
-    let c0 = conns.(0) in
-    Unix.clear_nonblock c0.oc_fd;
-    let control id query =
-      send c0.oc_fd { Protocol.id; deadline_ms = None; query };
-      read_reply c0.oc_fd c0.oc_dec buf
-    in
+    let c0 = conns.(0).oc in
+    Unix.clear_nonblock c0.Wire.fd;
     let server_stats =
-      match (control (total + 1) Protocol.Stats).Protocol.body with
+      match (call c0 (total + 1) Protocol.Stats).Protocol.body with
       | Ok payload -> Some payload
       | Error _ -> None
     in
-    if cfg.o_shutdown then ignore (control (total + 2) Protocol.Shutdown : Protocol.reply);
-    Array.iter (fun c -> try Unix.close c.oc_fd with Unix.Unix_error _ -> ()) conns;
+    if cfg.o_shutdown then ignore (call c0 (total + 2) Protocol.Shutdown : Protocol.reply);
+    Array.iter (fun c -> Wire.close c.oc) conns;
     {
       os_rate = cfg.o_rate;
       os_achieved = (if total = 0 then 0. else float_of_int total /. wall);

@@ -73,11 +73,12 @@ type summary = {
   s_server_stats : Json.t option;  (** the daemon's final [stats] payload *)
 }
 
-val run : connect:(unit -> Unix.file_descr) -> config -> (summary, string) result
-(** Drive the daemon reachable via [connect] (called once per client).
-    [Error] means the run could not complete (connection refused, stream
-    closed mid-reply) — protocol-level error replies are counted in the
-    summary, not fatal. *)
+val run : addr:Unix.sockaddr -> config -> (summary, string) result
+(** Drive the daemon at [addr] over one {!Wire.connect}ion per client
+    (each waits up to 10 s for the daemon to accept).  [Error] means the
+    run could not complete (nothing accepting, stream closed mid-reply)
+    — protocol-level error replies are counted in the summary, not
+    fatal. *)
 
 type open_config = {
   o_rate : float;  (** target arrival rate, requests/s; must be > 0 *)
@@ -117,9 +118,10 @@ type open_summary = {
   os_server_stats : Json.t option;
 }
 
-val run_open : connect:(unit -> Unix.file_descr) -> open_config -> (open_summary, string) result
-(** Open-loop run against the daemon reachable via [connect] (called
-    once per connection, plus once for shard discovery). *)
+val run_open : addr:Unix.sockaddr -> open_config -> (open_summary, string) result
+(** Open-loop run against the daemon at [addr]: one connection per
+    measured channel, plus one for shard discovery and one for the
+    prewarm, each opened like {!run}'s. *)
 
 val summary_to_json : summary -> Json.t
 val open_summary_to_json : open_summary -> Json.t

@@ -17,34 +17,8 @@ let listen_tcp ~port =
   Unix.listen fd 64;
   fd
 
-(* --- connections ------------------------------------------------------------- *)
-
-type conn = {
-  fd : Unix.file_descr;
-  dec : Protocol.decoder;
-  mutable alive : bool;
-}
-
-let close_conn c =
-  if c.alive then begin
-    c.alive <- false;
-    try Unix.close c.fd with Unix.Unix_error _ -> ()
-  end
-
-(* Blocking write of a whole reply; replies are small, and a peer that
-   stops reading only stalls its own connection's replies. *)
-let write_conn c s =
-  if c.alive then
-    try
-      let len = String.length s in
-      let off = ref 0 in
-      while !off < len do
-        off := !off + Unix.write_substring c.fd s !off (len - !off)
-      done
-    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> close_conn c
-
 type pending = {
-  p_conn : conn;
+  p_conn : Wire.t;
   p_req : Protocol.request;
   p_arrival : float;  (** [Unix.gettimeofday] at frame completion *)
 }
@@ -62,58 +36,37 @@ let expired p ~now =
    shutdown — when the last connection dies the worker is done). *)
 let serve ~handler ?pool ?(queue_depth = 64) ?listen ?(fds = []) () =
   if queue_depth < 1 then invalid_arg "Server.run: queue_depth must be >= 1";
-  let conns =
-    ref (List.map (fun fd -> { fd; dec = Protocol.decoder (); alive = true }) fds)
-  in
+  let conns = ref (List.map Wire.of_fd fds) in
   let queue = Queue.create () in
   let answered = ref 0 in
   let stopping = ref false in
   let reply c json =
-    write_conn c (Protocol.frame (Json.to_string json));
+    ignore (Wire.write c (Protocol.frame (Json.to_string json)) : bool);
     incr answered
   in
   let reply_error c ~id ~code ~message =
     Handler.note_error code;
     reply c (Protocol.error_reply ~id ~code ~message)
   in
-  let buf = Bytes.create 65536 in
   (* Drain every complete frame the connection has buffered; a stream
      that is malformed at the framing layer gets one terminal error. *)
-  let rec drain_frames c =
-    match Protocol.next_frame c.dec with
-    | Ok None -> ()
-    | Error msg ->
-        reply_error c ~id:0 ~code:Protocol.Bad_request ~message:("bad frame: " ^ msg);
-        close_conn c
-    | Ok (Some body) ->
-        let arrival = Unix.gettimeofday () in
-        (match Json.parse body with
-        | Error msg -> reply_error c ~id:0 ~code:Protocol.Bad_request ~message:msg
-        | Ok v -> (
-            match Protocol.request_of_json v with
-            | Error msg ->
-                let id =
-                  match Option.bind (Json.member v "id") Json.to_int with
-                  | Some id when id >= 0 -> id
-                  | _ -> 0
-                in
-                reply_error c ~id ~code:Protocol.Bad_request ~message:msg
-            | Ok req ->
-                Handler.note_request req.Protocol.query;
-                if Queue.length queue >= queue_depth then
-                  reply_error c ~id:req.Protocol.id ~code:Protocol.Overloaded
-                    ~message:
-                      (Printf.sprintf "queue full (%d requests pending)" (Queue.length queue))
-                else Queue.add { p_conn = c; p_req = req; p_arrival = arrival } queue));
-        if c.alive then drain_frames c
-  in
-  let read_conn c =
-    match Unix.read c.fd buf 0 (Bytes.length buf) with
-    | 0 -> close_conn c
-    | n ->
-        Protocol.feed c.dec buf n;
-        drain_frames c
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> close_conn c
+  let rec drain c =
+    let arrival = Unix.gettimeofday () in
+    match Wire.next_request c.Wire.dec with
+    | None -> ()
+    | Some ingress ->
+        (match ingress with
+        | Error { Wire.id; message; close } ->
+            reply_error c ~id ~code:Protocol.Bad_request ~message;
+            if close then Wire.close c
+        | Ok req ->
+            Handler.note_request req.Protocol.query;
+            if Queue.length queue >= queue_depth then
+              reply_error c ~id:req.Protocol.id ~code:Protocol.Overloaded
+                ~message:
+                  (Printf.sprintf "queue full (%d requests pending)" (Queue.length queue))
+            else Queue.add { p_conn = c; p_req = req; p_arrival = arrival } queue);
+        if c.Wire.alive then drain c
   in
   (* Dispatch the whole queue as one batch: deadline triage and
      [Handler.prepare] on this domain, compute thunks on the pool,
@@ -160,23 +113,26 @@ let serve ~handler ?pool ?(queue_depth = 64) ?listen ?(fds = []) () =
   in
   let serving () =
     (not !stopping)
-    && (listen <> None || List.exists (fun c -> c.alive) !conns)
+    && (listen <> None || List.exists (fun c -> c.Wire.alive) !conns)
   in
   while serving () do
-    conns := List.filter (fun c -> c.alive) !conns;
+    conns := List.filter (fun c -> c.Wire.alive) !conns;
     let watch =
-      (match listen with Some l -> [ l ] | None -> []) @ List.map (fun c -> c.fd) !conns
+      (match listen with Some l -> [ l ] | None -> []) @ List.map (fun c -> c.Wire.fd) !conns
     in
     let readable, _, _ = Unix.select watch [] [] (-1.0) in
     (match listen with
     | Some l when List.mem l readable ->
         let fd, _ = Unix.accept ~cloexec:true l in
-        conns := { fd; dec = Protocol.decoder (); alive = true } :: !conns
+        conns := Wire.of_fd fd :: !conns
     | _ -> ());
-    List.iter (fun c -> if c.alive && List.mem c.fd readable then read_conn c) !conns;
+    List.iter
+      (fun c ->
+        if c.Wire.alive && List.mem c.Wire.fd readable && Wire.read c = Wire.Data then drain c)
+      !conns;
     dispatch ()
   done;
-  List.iter close_conn !conns;
+  List.iter Wire.close !conns;
   (match listen with
   | Some l -> ( try Unix.close l with Unix.Unix_error _ -> ())
   | None -> ());

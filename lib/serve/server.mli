@@ -1,11 +1,13 @@
 (** The serving daemon's event loop: accept, frame, batch, dispatch,
     reply.
 
-    One [select]-driven loop owns every connection.  Each cycle it
-    drains readable sockets into per-connection frame {!Protocol.decoder}s,
-    enqueues complete requests (shedding with an [overloaded] error once
-    the bounded queue is full — a structured reply, never a hang or a
-    crash), then dispatches the queued batch: requests whose deadline
+    One [select]-driven loop owns every connection, each a {!Wire}
+    channel.  Each cycle it reads readable sockets into their channels,
+    turns every complete frame into a request or an ingress rejection
+    with {!Wire.next_request} (the function the sharded supervisor uses
+    too), enqueues the requests (shedding with an [overloaded] error
+    once the bounded queue is full — a structured reply, never a hang or
+    a crash), then dispatches the queued batch: requests whose deadline
     expired while queued get a [deadline_exceeded] error; the rest are
     {!Handler.prepare}d on the loop's domain and their thunks fanned out
     over the optional {!Vc_exec.Pool} ({e request batching}: independent
@@ -55,5 +57,7 @@ val run_conn :
     bidirectional connection (a supervisor's socketpair end) and no
     listening socket.  Returns when the peer closes the connection or
     after replying to [shutdown]; closes [fd].  Frame, deadline, queue
-    and batching semantics are identical to {!run} — which is what keeps
-    sharded replies byte-identical to single-process ones. *)
+    and batching semantics are identical to {!run}, and ingress is
+    rejected by the same {!Wire.next_request} as the supervisor's — which
+    is what keeps sharded replies byte-identical to single-process
+    ones. *)

@@ -13,9 +13,7 @@ type t = {
   id : int;
   warm : (string, Protocol.query) Lru.t;
   mutable pid : int;
-  mutable fd : Unix.file_descr;
-  mutable dec : Protocol.decoder;
-  mutable alive : bool;
+  mutable ch : Wire.t;
   mutable inflight : int;
   mutable respawns : int;
 }
@@ -39,18 +37,10 @@ let create ~spawn ~warm_capacity ~close_fds id =
     id;
     warm = Lru.create ~capacity:warm_capacity;
     pid;
-    fd;
-    dec = Protocol.decoder ();
-    alive = true;
+    ch = Wire.of_fd fd;
     inflight = 0;
     respawns = 0;
   }
-
-let mark_dead t =
-  if t.alive then begin
-    t.alive <- false;
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
-  end
 
 let rec reap t =
   match Unix.waitpid [] t.pid with
@@ -61,28 +51,9 @@ let rec reap t =
 let respawn ~spawn ~close_fds t =
   let pid, fd = start ~spawn ~close_fds t.id in
   t.pid <- pid;
-  t.fd <- fd;
-  t.dec <- Protocol.decoder ();
-  t.alive <- true;
+  t.ch <- Wire.of_fd fd;
   t.inflight <- 0;
   t.respawns <- t.respawns + 1
-
-(* Blocking write of one framed body; [false] means the worker is gone
-   (the caller fails the route and schedules a respawn). *)
-let send t body =
-  t.alive
-  &&
-  let s = Protocol.frame body in
-  try
-    let len = String.length s in
-    let off = ref 0 in
-    while !off < len do
-      off := !off + Unix.write_substring t.fd s !off (len - !off)
-    done;
-    true
-  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-    mark_dead t;
-    false
 
 let note_warm t ~key q = ignore (Lru.add t.warm key q : (string * Protocol.query) option)
 

@@ -19,9 +19,7 @@ type t = {
   id : int;
   warm : (string, Protocol.query) Lru.t;
   mutable pid : int;
-  mutable fd : Unix.file_descr;
-  mutable dec : Protocol.decoder;
-  mutable alive : bool;
+  mutable ch : Wire.t;  (** the socketpair channel; closed = the worker is down *)
   mutable inflight : int;  (** requests forwarded, reply not yet seen *)
   mutable respawns : int;
 }
@@ -30,19 +28,14 @@ val create : spawn:spawn -> warm_capacity:int -> close_fds:Unix.file_descr list 
 (** Socketpair + spawn; the worker end is closed in the parent, the
     parent end is close-on-exec. *)
 
-val mark_dead : t -> unit
-(** Close the channel and flag the shard down (idempotent). *)
-
 val reap : t -> unit
 (** [waitpid] the dead child (EINTR-safe; a vanished child is fine). *)
 
 val respawn : spawn:spawn -> close_fds:Unix.file_descr list -> t -> unit
 (** Start a fresh worker on a fresh socketpair for the same shard id;
-    resets the channel and in-flight count, increments [respawns].  The
-    warm ledger survives — it is the re-warm work list. *)
-
-val send : t -> string -> bool
-(** Frame and write one body; [false] if the worker is (now) dead. *)
+    replaces the channel, resets the in-flight count, increments
+    [respawns].  The warm ledger survives — it is the re-warm work
+    list. *)
 
 val note_warm : t -> key:string -> Protocol.query -> unit
 (** Record that the worker now holds this session resident (insert or

@@ -49,37 +49,13 @@ let exec_spawn ?(jobs = 1) ?snap_dir ~cache ~queue_depth exe ~shard:_ ~fd ~close
      bidirectional, so replies come back on the same descriptor *)
   Unix.create_process exe args fd Unix.stdout Unix.stderr
 
-(* --- client connections ------------------------------------------------------- *)
-
-type conn = {
-  fd : Unix.file_descr;
-  dec : Protocol.decoder;
-  mutable alive : bool;
-}
-
-let close_conn c =
-  if c.alive then begin
-    c.alive <- false;
-    try Unix.close c.fd with Unix.Unix_error _ -> ()
-  end
-
-let write_conn c s =
-  if c.alive then
-    try
-      let len = String.length s in
-      let off = ref 0 in
-      while !off < len do
-        off := !off + Unix.write_substring c.fd s !off (len - !off)
-      done
-    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> close_conn c
-
 (* --- routes ------------------------------------------------------------------- *)
 
 (* A [stats] request fans out to every live worker and the parts are
    merged; [g_remaining] counts outstanding parts (worker death
    decrements it so a gather can never hang). *)
 type gather = {
-  g_conn : conn;
+  g_conn : Wire.t;
   g_client_id : int;
   g_arrival : float;
   mutable g_remaining : int;
@@ -87,7 +63,7 @@ type gather = {
 }
 
 type route =
-  | Client of { conn : conn; client_id : int; kind : string; arrival : float; shard : int }
+  | Client of { conn : Wire.t; client_id : int; kind : string; arrival : float; shard : int }
   | Part of { gather : gather; shard : int }
   | Internal of { shard : int }
 
@@ -134,24 +110,23 @@ let run ~workers ?(cache_capacity = 8) ?(queue_depth = 64) ?(vnodes = Ring.defau
   let stopping = ref false in
   let next_internal = ref 0 in
   let routes : (int, route) Hashtbl.t = Hashtbl.create 64 in
-  let buf = Bytes.create 65536 in
   (* each fork-spawned worker closes the listener and its elder
      siblings' channels; later descriptors are created after it exists *)
   let shard_list = ref [] in
   for i = 0 to workers - 1 do
-    let close_fds = listen :: List.map (fun s -> s.Shard.fd) !shard_list in
+    let close_fds = listen :: List.map (fun s -> s.Shard.ch.Wire.fd) !shard_list in
     shard_list := !shard_list @ [ Shard.create ~spawn ~warm_capacity:cache_capacity ~close_fds i ]
   done;
   let shards = Array.of_list !shard_list in
   let close_fds_for () =
-    (listen :: List.filter_map (fun c -> if c.alive then Some c.fd else None) !conns)
+    (listen :: List.filter_map (fun c -> if c.Wire.alive then Some c.Wire.fd else None) !conns)
     @ List.filter_map
-        (fun s -> if s.Shard.alive then Some s.Shard.fd else None)
+        (fun s -> if s.Shard.ch.Wire.alive then Some s.Shard.ch.Wire.fd else None)
         (Array.to_list shards)
   in
   let lat_us arrival = int_of_float (Float.max 0. ((Unix.gettimeofday () -. arrival) *. 1e6)) in
   let reply_raw c body =
-    write_conn c (Protocol.frame body);
+    ignore (Wire.write c (Protocol.frame body) : bool);
     incr answered
   in
   let reply c json = reply_raw c (Json.to_string json) in
@@ -182,7 +157,7 @@ let run ~workers ?(cache_capacity = 8) ?(queue_depth = 64) ?(vnodes = Ring.defau
                [
                  ("shard", Json.Int s.Shard.id);
                  ("pid", Json.Int s.Shard.pid);
-                 ("alive", Json.Bool s.Shard.alive);
+                 ("alive", Json.Bool s.Shard.ch.Wire.alive);
                  ("inflight", Json.Int s.Shard.inflight);
                  ("respawns", Json.Int s.Shard.respawns);
                  ("warm", Json.Int (Shard.warm_count s));
@@ -241,25 +216,22 @@ let run ~workers ?(cache_capacity = 8) ?(queue_depth = 64) ?(vnodes = Ring.defau
     Metrics.incr respawns_c;
     List.iter
       (fun q ->
-        if shard.Shard.alive then begin
+        if shard.Shard.ch.Wire.alive then begin
           let id = fresh_id () in
           Hashtbl.replace routes id (Internal { shard = shard.Shard.id });
           shard.Shard.inflight <- shard.Shard.inflight + 1;
-          let body =
-            Json.to_string
-              (Protocol.request_to_json { Protocol.id; deadline_ms = None; query = q })
-          in
-          if Shard.send shard body then Metrics.incr rewarmed_c
+          Wire.send shard.Shard.ch { Protocol.id; deadline_ms = None; query = q };
+          if shard.Shard.ch.Wire.alive then Metrics.incr rewarmed_c
         end)
       (Shard.warm_queries shard);
-    if not shard.Shard.alive then begin
+    if not shard.Shard.ch.Wire.alive then begin
       Metrics.incr deaths_c;
       Shard.reap shard;
       fail_shard_routes shard
     end
   in
   let on_death shard =
-    Shard.mark_dead shard;
+    Wire.close shard.Shard.ch;
     Metrics.incr deaths_c;
     Shard.reap shard;
     fail_shard_routes shard;
@@ -270,10 +242,8 @@ let run ~workers ?(cache_capacity = 8) ?(queue_depth = 64) ?(vnodes = Ring.defau
     Hashtbl.replace routes id route;
     shard.Shard.inflight <- shard.Shard.inflight + 1;
     Metrics.record_max peak_inflight_c shard.Shard.inflight;
-    let body =
-      Json.to_string (Protocol.request_to_json { Protocol.id; deadline_ms; query })
-    in
-    if not (Shard.send shard body) then on_death shard
+    Wire.send shard.Shard.ch { Protocol.id; deadline_ms; query };
+    if not shard.Shard.ch.Wire.alive then on_death shard
   in
   let route_request c ~arrival (req : Protocol.request) =
     Handler.note_request req.Protocol.query;
@@ -289,7 +259,7 @@ let run ~workers ?(cache_capacity = 8) ?(queue_depth = 64) ?(vnodes = Ring.defau
         Handler.observe_latency ~kind:"shutdown" (lat_us arrival);
         stopping := true
     | Protocol.Stats ->
-        let live = List.filter (fun s -> s.Shard.alive) (Array.to_list shards) in
+        let live = List.filter (fun s -> s.Shard.ch.Wire.alive) (Array.to_list shards) in
         let g =
           {
             g_conn = c;
@@ -310,8 +280,8 @@ let run ~workers ?(cache_capacity = 8) ?(queue_depth = 64) ?(vnodes = Ring.defau
         let key = Ring.session_key ~problem ~size ~seed in
         let sid = Ring.lookup ring key in
         let shard = shards.(sid) in
-        if (not shard.Shard.alive) && not !stopping then revive shard;
-        if not shard.Shard.alive then begin
+        if (not shard.Shard.ch.Wire.alive) && not !stopping then revive shard;
+        if not shard.Shard.ch.Wire.alive then begin
           Metrics.incr lost_c;
           reply_error c ~id ~code:Protocol.Worker_lost
             ~message:(Printf.sprintf "shard %d worker is down" sid)
@@ -339,7 +309,7 @@ let run ~workers ?(cache_capacity = 8) ?(queue_depth = 64) ?(vnodes = Ring.defau
         end
   in
   let rec drain_shard s =
-    match Protocol.next_frame s.Shard.dec with
+    match Protocol.next_frame s.Shard.ch.Wire.dec with
     | Ok None -> ()
     | Error _ -> on_death s
     | Ok (Some body) -> (
@@ -373,60 +343,35 @@ let run ~workers ?(cache_capacity = 8) ?(queue_depth = 64) ?(vnodes = Ring.defau
                         | Some ("build" | "cache") -> Metrics.incr rewarm_build_c
                         | Some _ | None -> ())
                     | _ -> ())));
-            if s.Shard.alive then drain_shard s)
+            if s.Shard.ch.Wire.alive then drain_shard s)
   in
-  let read_shard s =
-    match Unix.read s.Shard.fd buf 0 (Bytes.length buf) with
-    | 0 -> on_death s
-    | n ->
-        Protocol.feed s.Shard.dec buf n;
-        drain_shard s
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> on_death s
-  in
-  (* client framing/parse errors are handled with the exact code paths
-     (and bytes) of the single-process server *)
+  (* ingress is rejected by the same function as the single-process
+     server ({!Wire.next_request}), so the bytes match; the drain stops
+     once [shutdown] is routed *)
   let rec drain_conn c =
-    match Protocol.next_frame c.dec with
-    | Ok None -> ()
-    | Error msg ->
-        reply_error c ~id:0 ~code:Protocol.Bad_request ~message:("bad frame: " ^ msg);
-        close_conn c
-    | Ok (Some body) ->
-        let arrival = Unix.gettimeofday () in
-        (match Json.parse body with
-        | Error msg -> reply_error c ~id:0 ~code:Protocol.Bad_request ~message:msg
-        | Ok v -> (
-            match Protocol.request_of_json v with
-            | Error msg ->
-                let id =
-                  match Option.bind (Json.member v "id") Json.to_int with
-                  | Some id when id >= 0 -> id
-                  | _ -> 0
-                in
-                reply_error c ~id ~code:Protocol.Bad_request ~message:msg
-            | Ok req -> route_request c ~arrival req));
-        if c.alive && not !stopping then drain_conn c
-  in
-  let read_conn c =
-    match Unix.read c.fd buf 0 (Bytes.length buf) with
-    | 0 -> close_conn c
-    | n ->
-        Protocol.feed c.dec buf n;
-        drain_conn c
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> close_conn c
+    let arrival = Unix.gettimeofday () in
+    match Wire.next_request c.Wire.dec with
+    | None -> ()
+    | Some ingress ->
+        (match ingress with
+        | Error { Wire.id; message; close } ->
+            reply_error c ~id ~code:Protocol.Bad_request ~message;
+            if close then Wire.close c
+        | Ok req -> route_request c ~arrival req);
+        if c.Wire.alive && not !stopping then drain_conn c
   in
   while not !stopping do
-    conns := List.filter (fun c -> c.alive) !conns;
+    conns := List.filter (fun c -> c.Wire.alive) !conns;
     let watch =
-      (listen :: List.map (fun c -> c.fd) !conns)
+      (listen :: List.map (fun c -> c.Wire.fd) !conns)
       @ List.filter_map
-          (fun s -> if s.Shard.alive then Some s.Shard.fd else None)
+          (fun s -> if s.Shard.ch.Wire.alive then Some s.Shard.ch.Wire.fd else None)
           (Array.to_list shards)
     in
     let readable, _, _ = Unix.select watch [] [] (-1.0) in
     if List.mem listen readable then begin
       let fd, _ = Unix.accept ~cloexec:true listen in
-      conns := { fd; dec = Protocol.decoder (); alive = true } :: !conns
+      conns := Wire.of_fd fd :: !conns
     end;
     (* a shard that dies while we process its sibling may be respawned
        onto a recycled descriptor number: the generation snapshot keeps
@@ -434,23 +379,29 @@ let run ~workers ?(cache_capacity = 8) ?(queue_depth = 64) ?(vnodes = Ring.defau
     let ready_shards =
       List.filter_map
         (fun s ->
-          if s.Shard.alive && List.mem s.Shard.fd readable then Some (s, s.Shard.respawns)
+          if s.Shard.ch.Wire.alive && List.mem s.Shard.ch.Wire.fd readable then
+            Some (s, s.Shard.respawns)
           else None)
         (Array.to_list shards)
     in
     List.iter
-      (fun (s, gen) -> if s.Shard.alive && s.Shard.respawns = gen then read_shard s)
+      (fun (s, gen) ->
+        if s.Shard.ch.Wire.alive && s.Shard.respawns = gen then
+          match Wire.read s.Shard.ch with Wire.Eof -> on_death s | Wire.Data -> drain_shard s)
       ready_shards;
     List.iter
-      (fun c -> if c.alive && (not !stopping) && List.mem c.fd readable then read_conn c)
+      (fun c ->
+        if c.Wire.alive && (not !stopping) && List.mem c.Wire.fd readable
+           && Wire.read c = Wire.Data
+        then drain_conn c)
       !conns
   done;
-  List.iter close_conn !conns;
+  List.iter Wire.close !conns;
   (try Unix.close listen with Unix.Unix_error _ -> ());
   Array.iter
     (fun s ->
-      if s.Shard.alive then begin
-        Shard.mark_dead s;
+      if s.Shard.ch.Wire.alive then begin
+        Wire.close s.Shard.ch;
         Shard.reap s
       end)
     shards;

@@ -5,12 +5,19 @@
     Routing is by consistent hash ({!Ring}) of the request's
     [(problem, size, seed)] session key, so every warm world is resident
     on exactly one shard and repeat queries for an instance always hit
-    the worker that already built it.  Workers run the ordinary
-    single-connection {!Server} loop over the same {!Protocol} codec;
-    the supervisor re-encodes the request with a unique internal id and,
-    on reply, splices the client's id back into the reply bytes without
-    re-encoding the payload — a sharded response is byte-for-byte the
-    response a single-process server would have sent.
+    the worker that already built it.  Every socket — client
+    connections and worker channels alike — is a {!Wire} channel, and a
+    client frame becomes a request or an ingress rejection in
+    {!Wire.next_request}, the function the single-process {!Server}
+    uses, so rejections carry its bytes.  Workers run the ordinary
+    single-connection {!Server} loop; the supervisor re-encodes the
+    request with a unique internal id and, on reply, splices the
+    client's id back into the reply bytes without re-encoding the
+    payload — a sharded response is byte-for-byte the response a
+    single-process server would have sent.  Routing [shutdown] stops the
+    drain: frames queued behind it on any connection go unanswered,
+    while the single-process server answers every frame already
+    queued.
 
     Fault handling: a worker death (EOF or broken pipe on its channel)
     fails every in-flight request on that shard with a structured

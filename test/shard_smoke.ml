@@ -19,6 +19,7 @@ module Metrics = Vc_obs.Metrics
 module Protocol = Vc_serve.Protocol
 module Handler = Vc_serve.Handler
 module Server = Vc_serve.Server
+module Wire = Vc_serve.Wire
 module Loadgen = Vc_serve.Loadgen
 module Supervisor = Vc_serve.Supervisor
 module Ring = Vc_serve.Ring
@@ -32,36 +33,15 @@ let size = 16
 
 (* --- tiny client ------------------------------------------------------------- *)
 
-let send_raw fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd s !off (len - !off)
-  done
-
-let send_request fd req =
-  send_raw fd (Protocol.frame (Json.to_string (Protocol.request_to_json req)))
-
 exception Failed of string
 
 let failf fmt = Printf.ksprintf (fun m -> raise (Failed m)) fmt
+let ok = function Ok v -> v | Error msg -> raise (Failed msg)
 
-let read_bodies fd count =
-  let dec = Protocol.decoder () in
-  let buf = Bytes.create 4096 in
-  let got = ref [] in
-  while List.length !got < count do
-    match Protocol.next_frame dec with
-    | Ok (Some body) -> got := body :: !got
-    | Error msg -> failf "reply framing: %s" msg
-    | Ok None -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> failf "supervisor closed the connection"
-        | n -> Protocol.feed dec buf n)
-  done;
-  List.rev !got
-
-let read_body fd = List.hd (read_bodies fd 1)
+(* One blocking round trip; the raw reply body. *)
+let ask ch id query =
+  Wire.send ch { Protocol.id; deadline_ms = None; query };
+  ok (Wire.read_body ch)
 
 let parse_reply body =
   match Result.bind (Json.parse body) Protocol.reply_of_json with
@@ -108,10 +88,10 @@ let expect_ok twin ~id q =
   | Ok payload -> Json.to_string (Protocol.ok_reply ~id payload)
   | Error (_, msg) -> failf "twin handler failed: %s" msg
 
-(* Boot a tier, run the verified mix, kill-and-recover, shut down.
-   Returns the final merged stats payload; raises [Failed] on any
-   deviation. *)
-let one_run ~run =
+(* Fork a supervisor of [workers] shards over a fresh socket and hand [f]
+   its address; the supervisor is killed and reaped afterwards (its
+   workers see EOF on their channels and exit). *)
+let with_tier ~workers ?snap_dir f =
   let dir = Filename.temp_file "vc_shard_smoke" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -123,127 +103,6 @@ let one_run ~run =
         try
           ignore
             (Supervisor.run ~workers ~cache_capacity ~queue_depth
-               ~spawn:
-                 (Supervisor.fork_spawn (fun () ->
-                      Metrics.set_enabled true;
-                      Handler.create ~cache_capacity ()))
-               ~listen ()
-              : int);
-          0
-        with _ -> 1
-      in
-      Unix._exit code
-  | pid ->
-      Unix.close listen;
-      let finally () =
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] pid : int * Unix.process_status)
-         with Unix.Unix_error _ -> ());
-        (try Unix.unlink path with Unix.Unix_error _ -> ());
-        try Unix.rmdir dir with Unix.Unix_error _ -> ()
-      in
-      Fun.protect ~finally (fun () ->
-          let connect () =
-            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-            Unix.connect fd (Unix.ADDR_UNIX path);
-            fd
-          in
-          (* phase 1: deterministic verified mix over both shards; the
-             seed varies per run so the 20 runs are 20 different loads *)
-          let mix = [ ("probe", 5); ("solve", 1); ("warm", 2); ("stats", 1) ] in
-          let cfg =
-            {
-              Loadgen.clients = 3;
-              requests = 12;
-              mix;
-              seed = Int64.of_int (1000 + run);
-              deadline_ms = None;
-              verify = true;
-              shutdown = false;
-            }
-          in
-          (match Loadgen.run ~connect cfg with
-          | Error msg -> failf "loadgen: %s" msg
-          | Ok s ->
-              if s.Loadgen.s_mismatches > 0 then
-                failf "loadgen: %d byte mismatches" s.Loadgen.s_mismatches;
-              if s.Loadgen.s_ok <> s.Loadgen.s_requests then
-                failf "loadgen: %d/%d ok" s.Loadgen.s_ok s.Loadgen.s_requests);
-          (* phase 2: the canonical fault, aimed at shard 0 *)
-          let fd = connect () in
-          Fun.protect
-            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-              let twin = Handler.create () in
-              let ring = Ring.create (List.init workers Fun.id) in
-              let q = Protocol.Probe { problem; size; seed = seed_for ring 0; origin = 0 } in
-              let q_fence = Protocol.Probe { problem; size; seed = seed_for ring 1; origin = 0 } in
-              let ask id query =
-                send_request fd { Protocol.id = id; deadline_ms = None; query };
-                read_body fd
-              in
-              let check_identical ~what ~id ~query body =
-                let want = expect_ok twin ~id query in
-                if body <> want then failf "%s: reply differs from single-process bytes" what
-              in
-              check_identical ~what:"warm-up" ~id:1 ~query:q (ask 1 q);
-              let pid0 =
-                let r = shard_row (stats_payload (ask 2 Protocol.Stats)) 0 in
-                if not (row_alive r) then failf "shard 0 dead before fault";
-                row_int r "pid"
-              in
-              Unix.kill pid0 Sys.sigstop;
-              send_request fd { Protocol.id = 3; deadline_ms = None; query = q };
-              (* fence through the other shard: its reply proves the
-                 supervisor has already read (and routed) id 3, so the
-                 kill below provably lands on a worker holding a request
-                 — and proves shard 1 keeps serving while 0 is wedged *)
-              send_request fd { Protocol.id = 4; deadline_ms = None; query = q_fence };
-              check_identical ~what:"fence via live shard" ~id:4 ~query:q_fence (read_body fd);
-              Unix.kill pid0 Sys.sigkill;
-              (match (parse_reply (read_body fd)).Protocol.body with
-              | Error (Protocol.Worker_lost, _) -> ()
-              | Error (c, m) ->
-                  failf "expected worker_lost, got %s: %s" (Protocol.code_to_string c) m
-              | Ok _ -> failf "in-flight request answered by a dead worker");
-              check_identical ~what:"post-recovery" ~id:5 ~query:q (ask 5 q);
-              let final = stats_payload (ask 6 Protocol.Stats) in
-              let r0 = shard_row final 0 and r1 = shard_row final 1 in
-              if not (row_alive r0 && row_alive r1) then failf "a shard is down after recovery";
-              if row_int r0 "respawns" <> 1 then
-                failf "shard 0 respawns = %d, want 1" (row_int r0 "respawns");
-              if row_int r1 "respawns" <> 0 then failf "shard 1 was disturbed";
-              if row_int r0 "warm" < 1 then failf "shard 0 warm ledger lost";
-              (match (parse_reply (ask 7 Protocol.Shutdown)).Protocol.body with
-              | Ok _ -> ()
-              | Error (c, m) -> failf "shutdown errored %s: %s" (Protocol.code_to_string c) m);
-              final))
-
-(* --- timed re-warm comparison -------------------------------------------------- *)
-
-(* After SIGKILL, how long until the killed shard answers again?  Once
-   cold (the ledger re-warm rebuilds the instance) and once against a
-   snapshot store (the re-warm mmap-loads it).  At this size the cold
-   build costs hundreds of milliseconds and the load a few, so the gap
-   survives single-CPU scheduling noise; still, the numbers are
-   report-only — the hard gates on the snapshot path live in the bench
-   harness and @snap-smoke. *)
-
-let rewarm_problem = "CycleColoring3"
-let rewarm_size = (1 lsl 18) - 1
-
-let timed_rewarm ?snap_dir () =
-  let dir = Filename.temp_file "vc_shard_rewarm" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let path = Filename.concat dir "s.sock" in
-  let listen = Server.listen_unix ~path in
-  match Unix.fork () with
-  | 0 ->
-      let code =
-        try
-          ignore
-            (Supervisor.run ~workers:1 ~cache_capacity ~queue_depth
                ~spawn:
                  (Supervisor.fork_spawn (fun () ->
                       Metrics.set_enabled true;
@@ -264,44 +123,120 @@ let timed_rewarm ?snap_dir () =
         (try Unix.unlink path with Unix.Unix_error _ -> ());
         try Unix.rmdir dir with Unix.Unix_error _ -> ()
       in
-      Fun.protect ~finally (fun () ->
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_UNIX path);
-          Fun.protect
-            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-              let q =
-                Protocol.Warm { problem = rewarm_problem; size = rewarm_size; seed = 1L }
-              in
-              let ask id query =
-                send_request fd { Protocol.id = id; deadline_ms = None; query };
-                read_body fd
-              in
-              (* first warm builds the session (and, with a store,
-                 publishes the snapshot it will re-load after the kill) *)
-              (match (parse_reply (ask 1 q)).Protocol.body with
-              | Ok _ -> ()
-              | Error (c, m) -> failf "rewarm warm-up errored %s: %s" (Protocol.code_to_string c) m);
-              let pid0 =
-                let r = shard_row (stats_payload (ask 2 Protocol.Stats)) 0 in
-                row_int r "pid"
-              in
-              Unix.kill pid0 Sys.sigkill;
-              let t0 = Unix.gettimeofday () in
-              (* retry through the worker_lost window; the first Ok reply
-                 marks the shard re-warmed and serving again *)
-              let rec recovered id =
-                match (parse_reply (ask id q)).Protocol.body with
-                | Ok _ -> Unix.gettimeofday () -. t0
-                | Error (Protocol.Worker_lost, _) -> recovered (id + 1)
-                | Error (c, m) ->
-                    failf "rewarm probe errored %s: %s" (Protocol.code_to_string c) m
-              in
-              let elapsed = recovered 3 in
-              (match (parse_reply (ask 99 Protocol.Shutdown)).Protocol.body with
-              | Ok _ -> ()
-              | Error (c, m) -> failf "shutdown errored %s: %s" (Protocol.code_to_string c) m);
-              elapsed *. 1e9))
+      Fun.protect ~finally (fun () -> f (Unix.ADDR_UNIX path))
+
+let with_conn addr f =
+  let ch = ok (Wire.connect addr) in
+  Fun.protect ~finally:(fun () -> Wire.close ch) (fun () -> f ch)
+
+(* Boot a tier, run the verified mix, kill-and-recover, shut down.
+   Returns the final merged stats payload; raises [Failed] on any
+   deviation. *)
+let one_run ~run =
+  with_tier ~workers (fun addr ->
+      (* phase 1: deterministic verified mix over both shards; the seed
+         varies per run so the 20 runs are 20 different loads *)
+      let mix = [ ("probe", 5); ("solve", 1); ("warm", 2); ("stats", 1) ] in
+      let cfg =
+        {
+          Loadgen.clients = 3;
+          requests = 12;
+          mix;
+          seed = Int64.of_int (1000 + run);
+          deadline_ms = None;
+          verify = true;
+          shutdown = false;
+        }
+      in
+      (match Loadgen.run ~addr cfg with
+      | Error msg -> failf "loadgen: %s" msg
+      | Ok s ->
+          if s.Loadgen.s_mismatches > 0 then
+            failf "loadgen: %d byte mismatches" s.Loadgen.s_mismatches;
+          if s.Loadgen.s_ok <> s.Loadgen.s_requests then
+            failf "loadgen: %d/%d ok" s.Loadgen.s_ok s.Loadgen.s_requests);
+      (* phase 2: the canonical fault, aimed at shard 0 *)
+      with_conn addr (fun ch ->
+          let twin = Handler.create () in
+          let ring = Ring.create (List.init workers Fun.id) in
+          let q = Protocol.Probe { problem; size; seed = seed_for ring 0; origin = 0 } in
+          let q_fence = Protocol.Probe { problem; size; seed = seed_for ring 1; origin = 0 } in
+          let check_identical ~what ~id ~query body =
+            let want = expect_ok twin ~id query in
+            if body <> want then failf "%s: reply differs from single-process bytes" what
+          in
+          check_identical ~what:"warm-up" ~id:1 ~query:q (ask ch 1 q);
+          let pid0 =
+            let r = shard_row (stats_payload (ask ch 2 Protocol.Stats)) 0 in
+            if not (row_alive r) then failf "shard 0 dead before fault";
+            row_int r "pid"
+          in
+          Unix.kill pid0 Sys.sigstop;
+          Wire.send ch { Protocol.id = 3; deadline_ms = None; query = q };
+          (* fence through the other shard: its reply proves the
+             supervisor has already read (and routed) id 3, so the kill
+             below provably lands on a worker holding a request — and
+             proves shard 1 keeps serving while 0 is wedged *)
+          check_identical ~what:"fence via live shard" ~id:4 ~query:q_fence (ask ch 4 q_fence);
+          Unix.kill pid0 Sys.sigkill;
+          (match (parse_reply (ok (Wire.read_body ch))).Protocol.body with
+          | Error (Protocol.Worker_lost, _) -> ()
+          | Error (c, m) -> failf "expected worker_lost, got %s: %s" (Protocol.code_to_string c) m
+          | Ok _ -> failf "in-flight request answered by a dead worker");
+          check_identical ~what:"post-recovery" ~id:5 ~query:q (ask ch 5 q);
+          let final = stats_payload (ask ch 6 Protocol.Stats) in
+          let r0 = shard_row final 0 and r1 = shard_row final 1 in
+          if not (row_alive r0 && row_alive r1) then failf "a shard is down after recovery";
+          if row_int r0 "respawns" <> 1 then
+            failf "shard 0 respawns = %d, want 1" (row_int r0 "respawns");
+          if row_int r1 "respawns" <> 0 then failf "shard 1 was disturbed";
+          if row_int r0 "warm" < 1 then failf "shard 0 warm ledger lost";
+          (match (parse_reply (ask ch 7 Protocol.Shutdown)).Protocol.body with
+          | Ok _ -> ()
+          | Error (c, m) -> failf "shutdown errored %s: %s" (Protocol.code_to_string c) m);
+          final))
+
+(* --- timed re-warm comparison -------------------------------------------------- *)
+
+(* After SIGKILL, how long until the killed shard answers again?  Once
+   cold (the ledger re-warm rebuilds the instance) and once against a
+   snapshot store (the re-warm mmap-loads it).  At this size the cold
+   build costs hundreds of milliseconds and the load a few, so the gap
+   survives single-CPU scheduling noise; still, the numbers are
+   report-only — the hard gates on the snapshot path live in the bench
+   harness and @snap-smoke. *)
+
+let rewarm_problem = "CycleColoring3"
+let rewarm_size = (1 lsl 18) - 1
+
+let timed_rewarm ?snap_dir () =
+  with_tier ~workers:1 ?snap_dir (fun addr ->
+      with_conn addr (fun ch ->
+          let q = Protocol.Warm { problem = rewarm_problem; size = rewarm_size; seed = 1L } in
+          (* first warm builds the session (and, with a store, publishes
+             the snapshot it will re-load after the kill) *)
+          (match (parse_reply (ask ch 1 q)).Protocol.body with
+          | Ok _ -> ()
+          | Error (c, m) -> failf "rewarm warm-up errored %s: %s" (Protocol.code_to_string c) m);
+          let pid0 =
+            let r = shard_row (stats_payload (ask ch 2 Protocol.Stats)) 0 in
+            row_int r "pid"
+          in
+          Unix.kill pid0 Sys.sigkill;
+          let t0 = Unix.gettimeofday () in
+          (* retry through the worker_lost window; the first Ok reply
+             marks the shard re-warmed and serving again *)
+          let rec recovered id =
+            match (parse_reply (ask ch id q)).Protocol.body with
+            | Ok _ -> Unix.gettimeofday () -. t0
+            | Error (Protocol.Worker_lost, _) -> recovered (id + 1)
+            | Error (c, m) -> failf "rewarm probe errored %s: %s" (Protocol.code_to_string c) m
+          in
+          let elapsed = recovered 3 in
+          (match (parse_reply (ask ch 99 Protocol.Shutdown)).Protocol.body with
+          | Ok _ -> ()
+          | Error (c, m) -> failf "shutdown errored %s: %s" (Protocol.code_to_string c) m);
+          elapsed *. 1e9))
 
 let with_tmp_dir prefix f =
   let dir = Filename.temp_file prefix "" in

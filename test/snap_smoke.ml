@@ -18,6 +18,7 @@
 module Json = Vc_obs.Json
 module Protocol = Vc_serve.Protocol
 module Ring = Vc_serve.Ring
+module Wire = Vc_serve.Wire
 
 let problem = "DegreeParity"
 
@@ -39,32 +40,6 @@ let run_cmd argv =
 
 (* --- tiny client ---------------------------------------------------------------- *)
 
-let send_raw fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd s !off (len - !off)
-  done
-
-let send_request fd req =
-  send_raw fd (Protocol.frame (Json.to_string (Protocol.request_to_json req)))
-
-let read_body fd =
-  let dec = Protocol.decoder () in
-  let buf = Bytes.create 4096 in
-  let rec go () =
-    match Protocol.next_frame dec with
-    | Ok (Some body) -> body
-    | Error msg -> failf "reply framing: %s" msg
-    | Ok None -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> failf "server closed the connection"
-        | n ->
-            Protocol.feed dec buf n;
-            go ())
-  in
-  go ()
-
 let parse_reply body =
   match Result.bind (Json.parse body) Protocol.reply_of_json with
   | Ok r -> r
@@ -75,9 +50,9 @@ let ok_payload body =
   | Ok payload -> payload
   | Error (c, m) -> failf "request errored %s: %s" (Protocol.code_to_string c) m
 
-let ask fd id query =
-  send_request fd { Protocol.id; deadline_ms = None; query };
-  read_body fd
+let ask ch id query =
+  Wire.send ch { Protocol.id; deadline_ms = None; query };
+  match Wire.read_body ch with Ok body -> body | Error msg -> failf "%s" msg
 
 (* --- stats plumbing ------------------------------------------------------------- *)
 
@@ -133,23 +108,6 @@ let with_tmp_dir prefix f =
   in
   Fun.protect ~finally (fun () -> f dir)
 
-let connect_with_retry path =
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec go () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> fd
-    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
-      when Unix.gettimeofday () < deadline ->
-        Unix.close fd;
-        ignore (Unix.select [] [] [] 0.05 : _ * _ * _);
-        go ()
-    | exception e ->
-        Unix.close fd;
-        raise e
-  in
-  go ()
-
 let one_smoke ~exe ~size ~seed =
   with_tmp_dir "vc_snap_store" @@ fun store_dir ->
   with_tmp_dir "vc_snap_sock" @@ fun sock_dir ->
@@ -173,9 +131,10 @@ let one_smoke ~exe ~size ~seed =
     with Unix.Unix_error _ -> ()
   in
   Fun.protect ~finally @@ fun () ->
-  let fd = connect_with_retry sock in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
+  let ch =
+    match Wire.connect (Unix.ADDR_UNIX sock) with Ok ch -> ch | Error msg -> failf "%s" msg
+  in
+  Fun.protect ~finally:(fun () -> Wire.close ch) @@ fun () ->
   let q_warm = Protocol.Warm { problem; size; seed } in
   (* 3. the pre-built session must come off the store, not a rebuild *)
   let source_of body =
@@ -183,17 +142,17 @@ let one_smoke ~exe ~size ~seed =
     | Some s -> s
     | None -> failf "warm reply lacks source"
   in
-  let first_source = source_of (ask fd 1 q_warm) in
+  let first_source = source_of (ask ch 1 q_warm) in
   if first_source <> "snap" then failf "first warm answered %S, want \"snap\"" first_source;
   (* 4. kill the worker holding the session *)
   let shard = Ring.lookup_session (Ring.create [ 0; 1 ]) ~problem ~size ~seed in
-  let stats0 = ok_payload (ask fd 2 Protocol.Stats) in
+  let stats0 = ok_payload (ask ch 2 Protocol.Stats) in
   let victim = row_int (shard_row stats0 shard) "pid" in
   Unix.kill victim Sys.sigkill;
   (* 5. wait for the respawn and the snapshot re-warm to land *)
   let deadline = Unix.gettimeofday () +. 10. in
   let rec settle id =
-    let stats = ok_payload (ask fd id Protocol.Stats) in
+    let stats = ok_payload (ask ch id Protocol.Stats) in
     let row = shard_row stats shard in
     if
       row_alive row
@@ -216,10 +175,10 @@ let one_smoke ~exe ~size ~seed =
     failf "re-warm rebuilt %d session(s) despite the store"
       (counter_of final_stats "serve.shard.rewarm_build");
   (* 6. the session is resident again *)
-  let post_source = source_of (ask fd (id + 1) q_warm) in
+  let post_source = source_of (ask ch (id + 1) q_warm) in
   if post_source <> "cache" then
     failf "post-recovery warm answered %S, want \"cache\"" post_source;
-  ignore (ok_payload (ask fd (id + 2) Protocol.Shutdown) : Json.t);
+  ignore (ok_payload (ask ch (id + 2) Protocol.Shutdown) : Json.t);
   (match Unix.waitpid [] server_pid with
   | _, Unix.WEXITED 0 -> ()
   | _, st ->

@@ -9,6 +9,7 @@ module Lru = Vc_serve.Lru
 module Protocol = Vc_serve.Protocol
 module Handler = Vc_serve.Handler
 module Server = Vc_serve.Server
+module Wire = Vc_serve.Wire
 module Loadgen = Vc_serve.Loadgen
 module Conform = Vc_serve.Conform
 module Registry = Vc_check.Registry
@@ -290,43 +291,29 @@ let with_server ?queue_depth f =
     (try Unix.rmdir dir with Unix.Unix_error _ -> ())
   in
   Fun.protect ~finally (fun () ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      let answered =
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () ->
-            f fd;
-            Domain.join server)
+      let c =
+        match Wire.connect (Unix.ADDR_UNIX path) with
+        | Ok c -> c
+        | Error msg -> Alcotest.fail msg
       in
-      answered)
+      Fun.protect
+        ~finally:(fun () -> Wire.close c)
+        (fun () ->
+          f c;
+          Domain.join server))
 
-let send_raw fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd s !off (len - !off)
-  done
+let send_raw c s = Alcotest.(check bool) "frames written" true (Wire.write c s)
 
 let frame_request req = Protocol.frame (Json.to_string (Protocol.request_to_json req))
 
-let read_replies fd count =
-  let dec = Protocol.decoder () in
-  let buf = Bytes.create 4096 in
-  let replies = ref [] in
-  while List.length !replies < count do
-    match Protocol.next_frame dec with
-    | Ok (Some body) -> (
-        match Result.bind (Json.parse body) Protocol.reply_of_json with
-        | Ok r -> replies := r :: !replies
-        | Error msg -> Alcotest.failf "bad reply: %s" msg)
-    | Error msg -> Alcotest.failf "reply framing: %s" msg
-    | Ok None -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> Alcotest.fail "server closed the connection"
-        | n -> Protocol.feed dec buf n)
-  done;
-  List.rev !replies
+let read_replies c count =
+  List.init count (fun _ ->
+      match Result.bind (Wire.read_body c) Json.parse with
+      | Error msg -> Alcotest.failf "reply: %s" msg
+      | Ok v -> (
+          match Protocol.reply_of_json v with
+          | Ok r -> r
+          | Error msg -> Alcotest.failf "bad reply: %s" msg))
 
 let body_of id replies =
   match List.find_opt (fun r -> r.Protocol.r_id = id) replies with
@@ -335,31 +322,31 @@ let body_of id replies =
 
 let test_server_end_to_end () =
   let answered =
-    with_server (fun fd ->
+    with_server (fun c ->
         let q = Protocol.Probe { problem = "DegreeParity"; size = 16; seed = 5L; origin = 2 } in
-        send_raw fd (frame_request { Protocol.id = 1; deadline_ms = None; query = q });
+        Wire.send c { Protocol.id = 1; deadline_ms = None; query = q };
         let direct =
           match Handler.handle (Handler.create ()) q with
           | Ok p -> Json.to_string p
           | Error (_, msg) -> Alcotest.failf "direct: %s" msg
         in
-        (match body_of 1 (read_replies fd 1) with
+        (match body_of 1 (read_replies c 1) with
         | Ok payload ->
             Alcotest.(check string) "wire payload is byte-identical" direct (Json.to_string payload)
         | Error (c, m) -> Alcotest.failf "error %s: %s" (Protocol.code_to_string c) m);
         (* a deadline of 0 ms has always expired by dispatch time *)
-        send_raw fd (frame_request { Protocol.id = 2; deadline_ms = Some 0; query = q });
-        (match body_of 2 (read_replies fd 1) with
+        Wire.send c { Protocol.id = 2; deadline_ms = Some 0; query = q };
+        (match body_of 2 (read_replies c 1) with
         | Error (Protocol.Deadline_exceeded, _) -> ()
         | Error (c, _) -> Alcotest.failf "expected deadline_exceeded, got %s" (Protocol.code_to_string c)
         | Ok _ -> Alcotest.fail "expired request answered");
         (* malformed JSON on a well-formed frame: one bad_request, conn survives *)
-        send_raw fd (Protocol.frame "{nope");
-        (match body_of 0 (read_replies fd 1) with
+        send_raw c (Protocol.frame "{nope");
+        (match body_of 0 (read_replies c 1) with
         | Error (Protocol.Bad_request, _) -> ()
         | _ -> Alcotest.fail "malformed JSON not rejected");
-        send_raw fd (frame_request { Protocol.id = 9; deadline_ms = None; query = Protocol.Shutdown });
-        match body_of 9 (read_replies fd 1) with
+        Wire.send c { Protocol.id = 9; deadline_ms = None; query = Protocol.Shutdown };
+        match body_of 9 (read_replies c 1) with
         | Ok payload ->
             Alcotest.(check (option bool)) "bye" (Some true)
               (Option.bind (Json.member payload "bye") Json.to_bool)
@@ -369,7 +356,7 @@ let test_server_end_to_end () =
 
 let test_server_sheds_load () =
   let answered =
-    with_server ~queue_depth:1 (fun fd ->
+    with_server ~queue_depth:1 (fun c ->
         let q = Protocol.Stats in
         let burst =
           String.concat ""
@@ -379,8 +366,8 @@ let test_server_sheds_load () =
         in
         (* one write -> one read cycle on the server: the queue (depth 1)
            takes request 1; 2 and 3 must be shed, not dropped or hung *)
-        send_raw fd burst;
-        let replies = read_replies fd 3 in
+        send_raw c burst;
+        let replies = read_replies c 3 in
         (match body_of 1 replies with
         | Ok _ -> ()
         | Error (c, _) -> Alcotest.failf "request 1: %s" (Protocol.code_to_string c));
@@ -393,8 +380,8 @@ let test_server_sheds_load () =
                   (Protocol.code_to_string c)
             | Ok _ -> Alcotest.failf "request %d: not shed" id)
           [ 2; 3 ];
-        send_raw fd (frame_request { Protocol.id = 4; deadline_ms = None; query = Protocol.Shutdown });
-        ignore (read_replies fd 1 : Protocol.reply list))
+        Wire.send c { Protocol.id = 4; deadline_ms = None; query = Protocol.Shutdown };
+        ignore (read_replies c 1 : Protocol.reply list))
   in
   Alcotest.(check int) "answered count" 4 answered
 

@@ -20,6 +20,7 @@ module Registry = Vc_check.Registry
 module Protocol = Vc_serve.Protocol
 module Handler = Vc_serve.Handler
 module Server = Vc_serve.Server
+module Wire = Vc_serve.Wire
 module Shard = Vc_serve.Shard
 module Supervisor = Vc_serve.Supervisor
 module Ring = Vc_serve.Ring
@@ -217,9 +218,10 @@ let with_tier serve f =
       Fun.protect ~finally (fun () -> f path)
 
 let with_conn path f =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) (fun () -> f fd)
+  let c =
+    match Wire.connect (Unix.ADDR_UNIX path) with Ok c -> c | Error msg -> Alcotest.fail msg
+  in
+  Fun.protect ~finally:(fun () -> Wire.close c) (fun () -> f c)
 
 let with_supervisor ?(workers = 2) ?(cache_capacity = 4) ?(queue_depth = 8) ?snap_dir f =
   with_tier
@@ -239,43 +241,21 @@ let with_supervisor ?(workers = 2) ?(cache_capacity = 4) ?(queue_depth = 8) ?sna
           : int))
     (fun path -> with_conn path f)
 
-let send_raw fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd s !off (len - !off)
-  done
-
-let send_request fd req = send_raw fd (Protocol.frame (Json.to_string (Protocol.request_to_json req)))
+let send_raw c s = Alcotest.(check bool) "frames written" true (Wire.write c s)
+let send_request = Wire.send
 
 (* Raw frame bodies, not parsed replies: the whole point of the sharded
    tier is byte-identity, so the assertions compare wire bytes. *)
-let read_bodies fd count =
-  let dec = Protocol.decoder () in
-  let buf = Bytes.create 4096 in
-  let got = ref [] in
-  while List.length !got < count do
-    match Protocol.next_frame dec with
-    | Ok (Some body) -> got := body :: !got
-    | Error msg -> Alcotest.failf "reply framing: %s" msg
-    | Ok None -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> Alcotest.fail "supervisor closed the connection"
-        | n -> Protocol.feed dec buf n)
-  done;
-  List.rev !got
+let read_body c = match Wire.read_body c with Ok body -> body | Error msg -> Alcotest.fail msg
+let read_bodies c count = List.init count (fun _ -> read_body c)
 
-let read_body fd = match read_bodies fd 1 with [ b ] -> b | _ -> assert false
-
-(* The peer must close the connection: the next read sees EOF within
-   5 s, never more bytes or a hang. *)
-let expect_eof fd =
-  match Unix.select [ fd ] [] [] 5.0 with
+(* The peer must close the connection: nothing more is buffered and the
+   next read sees EOF within 5 s, never more bytes or a hang. *)
+let expect_eof c =
+  if Protocol.next_frame c.Wire.dec <> Ok None then Alcotest.fail "bytes after a bad-frame reply";
+  match Unix.select [ c.Wire.fd ] [] [] 5.0 with
   | [], _, _ -> Alcotest.fail "connection still open after a bad-frame reply"
-  | _ -> (
-      match Unix.read fd (Bytes.create 1) 0 1 with
-      | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
-      | _ -> Alcotest.fail "bytes after a bad-frame reply")
+  | _ -> if Wire.read c = Wire.Data then Alcotest.fail "bytes after a bad-frame reply"
 
 let parse_reply body =
   match Result.bind (Json.parse body) Protocol.reply_of_json with
@@ -347,14 +327,14 @@ let expect_ok ~id q =
   | Error (_, msg) -> Alcotest.failf "twin handler failed: %s" msg
 
 let test_worker_kill_recovery () =
-  with_supervisor ~workers:2 (fun fd ->
+  with_supervisor ~workers:2 (fun c ->
       let ring = Ring.create [ 0; 1 ] in
       let seed_a = seed_for ring 0 and seed_b = seed_for ring 1 in
       let q_a = Protocol.Probe { problem; size; seed = seed_a; origin = 0 } in
       let q_b = Protocol.Probe { problem; size; seed = seed_b; origin = 0 } in
       let ask id query =
-        send_request fd { Protocol.id; deadline_ms = None; query };
-        read_body fd
+        send_request c { Protocol.id; deadline_ms = None; query };
+        read_body c
       in
       (* warm one session per shard; replies are byte-identical to a
          single-process server's *)
@@ -371,12 +351,12 @@ let test_worker_kill_recovery () =
          kill it: the supervisor must fail the in-flight request with
          worker_lost — deterministically, every run *)
       Unix.kill pid_a Sys.sigstop;
-      send_request fd { Protocol.id = 4; deadline_ms = None; query = q_a };
-      send_request fd { Protocol.id = 5; deadline_ms = None; query = q_b };
+      send_request c { Protocol.id = 4; deadline_ms = None; query = q_a };
+      send_request c { Protocol.id = 5; deadline_ms = None; query = q_b };
       (* the other shard answers while shard 0 is wedged *)
-      Alcotest.(check string) "shard 1 undisturbed" (expect_ok ~id:5 q_b) (read_body fd);
+      Alcotest.(check string) "shard 1 undisturbed" (expect_ok ~id:5 q_b) (read_body c);
       Unix.kill pid_a Sys.sigkill;
-      (match (parse_reply (read_body fd)).Protocol.body with
+      (match (parse_reply (read_body c)).Protocol.body with
       | Error (Protocol.Worker_lost, _) -> ()
       | Error (c, m) ->
           Alcotest.failf "in-flight request: expected worker_lost, got %s: %s"
@@ -413,14 +393,14 @@ let test_snap_rewarm () =
     try Unix.rmdir snap_dir with Unix.Unix_error _ -> ()
   in
   Fun.protect ~finally @@ fun () ->
-  with_supervisor ~workers:2 ~snap_dir (fun fd ->
+  with_supervisor ~workers:2 ~snap_dir (fun c ->
       let ring = Ring.create [ 0; 1 ] in
       let seed_a = seed_for ring 0 and seed_b = seed_for ring 1 in
       let q_a = Protocol.Probe { problem; size; seed = seed_a; origin = 0 } in
       let q_b = Protocol.Probe { problem; size; seed = seed_b; origin = 0 } in
       let ask id query =
-        send_request fd { Protocol.id; deadline_ms = None; query };
-        read_body fd
+        send_request c { Protocol.id; deadline_ms = None; query };
+        read_body c
       in
       (* first contact builds the instance and publishes the snapshot *)
       Alcotest.(check string) "warm-up answer" (expect_ok ~id:1 q_a) (ask 1 q_a);
@@ -435,11 +415,11 @@ let test_snap_rewarm () =
          proves the supervisor forwarded the stopped shard's request
          before the kill lands *)
       Unix.kill pid_a Sys.sigstop;
-      send_request fd { Protocol.id = 3; deadline_ms = None; query = q_a };
-      send_request fd { Protocol.id = 30; deadline_ms = None; query = q_b };
-      Alcotest.(check string) "shard 1 undisturbed" (expect_ok ~id:30 q_b) (read_body fd);
+      send_request c { Protocol.id = 3; deadline_ms = None; query = q_a };
+      send_request c { Protocol.id = 30; deadline_ms = None; query = q_b };
+      Alcotest.(check string) "shard 1 undisturbed" (expect_ok ~id:30 q_b) (read_body c);
       Unix.kill pid_a Sys.sigkill;
-      (match (parse_reply (read_body fd)).Protocol.body with
+      (match (parse_reply (read_body c)).Protocol.body with
       | Error (Protocol.Worker_lost, _) -> ()
       | Error (c, m) ->
           Alcotest.failf "expected worker_lost, got %s: %s" (Protocol.code_to_string c) m
@@ -464,13 +444,13 @@ let test_snap_rewarm () =
    fills to queue_depth, later arrivals shed with overloaded (never a
    hang), and the eventual kill fails exactly the admitted ones. *)
 let test_wedged_shard_sheds () =
-  with_supervisor ~workers:2 ~queue_depth:2 (fun fd ->
+  with_supervisor ~workers:2 ~queue_depth:2 (fun c ->
       let ring = Ring.create [ 0; 1 ] in
       let seed_a = seed_for ring 0 in
       let q_a = Protocol.Probe { problem; size; seed = seed_a; origin = 0 } in
       let ask id query =
-        send_request fd { Protocol.id; deadline_ms = None; query };
-        read_body fd
+        send_request c { Protocol.id; deadline_ms = None; query };
+        read_body c
       in
       Alcotest.(check string) "warm-up answer" (expect_ok ~id:1 q_a) (ask 1 q_a);
       let pid_a =
@@ -480,8 +460,8 @@ let test_wedged_shard_sheds () =
       in
       Unix.kill pid_a Sys.sigstop;
       (* depth 2: ids 3,4 admitted (in flight), 5 must shed immediately *)
-      List.iter (fun id -> send_request fd { Protocol.id = id; deadline_ms = None; query = q_a }) [ 3; 4; 5 ];
-      (match (parse_reply (read_body fd)).Protocol.body with
+      List.iter (fun id -> send_request c { Protocol.id = id; deadline_ms = None; query = q_a }) [ 3; 4; 5 ];
+      (match (parse_reply (read_body c)).Protocol.body with
       | Error (Protocol.Overloaded, _) -> ()
       | Error (c, m) -> Alcotest.failf "expected overloaded, got %s: %s" (Protocol.code_to_string c) m
       | Ok _ -> Alcotest.fail "over-depth request not shed");
@@ -492,7 +472,7 @@ let test_wedged_shard_sheds () =
           | Error (Protocol.Worker_lost, _) -> ()
           | Error (c, m) -> Alcotest.failf "expected worker_lost, got %s: %s" (Protocol.code_to_string c) m
           | Ok _ -> Alcotest.fail "admitted request answered by a dead worker")
-        (read_bodies fd 2);
+        (read_bodies c 2);
       (* recovery: same session, same bytes, fresh worker *)
       Alcotest.(check string) "post-shed recovery" (expect_ok ~id:6 q_a) (ask 6 q_a);
       ignore (ask 7 Protocol.Shutdown : string))
