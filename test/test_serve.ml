@@ -308,12 +308,9 @@ let frame_request req = Protocol.frame (Json.to_string (Protocol.request_to_json
 
 let read_replies c count =
   List.init count (fun _ ->
-      match Result.bind (Wire.read_body c) Json.parse with
-      | Error msg -> Alcotest.failf "reply: %s" msg
-      | Ok v -> (
-          match Protocol.reply_of_json v with
-          | Ok r -> r
-          | Error msg -> Alcotest.failf "bad reply: %s" msg))
+      match Result.bind (Result.bind (Wire.read_body c) Json.parse) Protocol.reply_of_json with
+      | Ok r -> r
+      | Error msg -> Alcotest.failf "bad reply: %s" msg)
 
 let body_of id replies =
   match List.find_opt (fun r -> r.Protocol.r_id = id) replies with
