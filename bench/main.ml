@@ -919,24 +919,25 @@ let measure_saturation ~exe ~quick =
         let requests = min 400 (max 120 (int_of_float (rate /. 4.))) in
         let cfg =
           {
-            Vc_serve.Loadgen.o_rate = rate;
-            o_requests = requests;
-            o_conns = None;
-            o_mix = Vc_serve.Loadgen.default_mix;
-            o_seed = 42L;
-            o_verify = false;
-            o_shutdown = i = last;
-            o_prewarm = true;
+            Vc_serve.Loadgen.conns = None;
+            requests;
+            mix = Vc_serve.Loadgen.default_mix;
+            seed = 42L;
+            rate = Some rate;
+            deadline_ms = None;
+            verify = false;
+            shutdown = i = last;
+            prewarm = true;
           }
         in
-        match Vc_serve.Loadgen.run_open ~addr:(Unix.ADDR_UNIX socket) cfg with
+        match Vc_serve.Loadgen.run ~addr:(Unix.ADDR_UNIX socket) cfg with
         | Ok s ->
             {
               st_rate = rate;
-              st_achieved = s.Vc_serve.Loadgen.os_achieved;
+              st_achieved = s.Vc_serve.Loadgen.s_achieved;
               st_shed =
-                float_of_int s.Vc_serve.Loadgen.os_shed
-                /. float_of_int (max 1 s.Vc_serve.Loadgen.os_requests);
+                float_of_int (Vc_serve.Loadgen.error_count s Vc_serve.Protocol.Overloaded)
+                /. float_of_int (max 1 s.Vc_serve.Loadgen.s_requests);
             }
         | Error msg ->
             (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());

@@ -14,7 +14,7 @@
      ir           list/dump/validate/run the shipped probe-program IR
      synth        SAT-based probe-program synthesis + volume classification
      serve        query-serving daemon over a Unix-domain (or TCP) socket
-     loadgen      closed-loop load generator + verifier for the daemon *)
+     loadgen      load generator + verifier for the daemon *)
 
 open Cmdliner
 
@@ -1248,41 +1248,44 @@ let serve_cmd =
 (* --- loadgen ----------------------------------------------------------------- *)
 
 let loadgen_cmd =
+  let module Loadgen = Vc_serve.Loadgen in
   let spawn =
     Arg.(
       value & flag
       & info [ "spawn" ]
           ~doc:"Start a private $(b,volcomp serve) on the socket, drive it, shut it down.")
   in
-  let clients =
+  let conns =
     Arg.(
-      value & opt pos_int 4
-      & info [ "clients" ] ~docv:"N" ~doc:"Concurrent closed-loop clients.")
+      value & opt (some pos_int) None
+      & info [ "conns"; "clients" ] ~docv:"N"
+          ~doc:
+            "Connections to drive the daemon over (default: one per shard the server \
+             reports, 1 for a single-process server).")
   in
   let rate =
     Arg.(
       value & opt (some pos_float) None
       & info [ "rate" ] ~docv:"RPS"
           ~doc:
-            "Open-loop mode: requests arrive as a Poisson process at $(docv) requests/s \
-             (exponential inter-arrivals) regardless of reply speed, fanned out over \
-             non-blocking connections.  Reports achieved throughput and shed rate.")
-  in
-  let conns =
-    Arg.(
-      value & opt (some pos_int) None
-      & info [ "conns" ] ~docv:"N"
-          ~doc:
-            "Open-loop connection fan-out (default: one per shard the server reports, 1 \
-             for a single-process server).")
+            "Requests arrive as a Poisson process at $(docv) requests/s (exponential \
+             inter-arrivals) regardless of reply speed, fanned out round-robin over the \
+             connections, and latency runs from the scheduled arrival.  Without it the loop \
+             is closed: each connection sends its next request as soon as its last one is \
+             answered.")
   in
   let requests =
     Arg.(
       value & opt nonneg_int 64 & info [ "requests" ] ~docv:"N" ~doc:"Total requests to send.")
   in
   let mix =
+    let spec =
+      Arg.conv
+        ( (fun s -> Result.map_error (fun m -> `Msg m) (Loadgen.parse_mix s)),
+          Fmt.(list ~sep:(any ",") (pair ~sep:(any ":") string int)) )
+    in
     Arg.(
-      value & opt string "solve:1,probe:4,trace:1,list:1,stats:1"
+      value & opt spec Loadgen.default_mix
       & info [ "mix" ] ~docv:"SPEC"
           ~doc:"Weighted request mix, e.g. $(b,probe:4,solve:1) (kinds: solve, probe, trace, \
                 warm, list, stats).")
@@ -1304,112 +1307,79 @@ let loadgen_cmd =
       value & flag
       & info [ "prewarm" ]
           ~doc:
-            "Open-loop mode: issue a $(b,warm) query for every session in the plan before \
-             the measured phase, so instance construction is never charged to the first \
-             unlucky request of a session.  The summary reports how many sessions were \
-             cold.")
+            "Issue a $(b,warm) query for every session in the plan before the measured \
+             phase, so instance construction is never charged to the first unlucky request \
+             of a session.  The summary reports how many sessions were cold.")
   in
-  let run socket tcp spawn spawn_workers clients requests rate conns mix_s seed deadline
-      no_verify prewarm json =
+  let run socket tcp spawn spawn_workers conns requests rate mix seed deadline no_verify
+      prewarm json =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    match Vc_serve.Loadgen.parse_mix mix_s with
+    let addr =
+      match tcp with
+      | Some port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+      | None -> Unix.ADDR_UNIX socket
+    in
+    let server_pid =
+      if not spawn then None
+      else begin
+        let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        let args =
+          (match tcp with
+          | Some port -> [ Sys.executable_name; "serve"; "--tcp"; string_of_int port ]
+          | None -> [ Sys.executable_name; "serve"; "--socket"; socket ])
+          @ if spawn_workers > 0 then [ "--workers"; string_of_int spawn_workers ] else []
+        in
+        let pid =
+          Unix.create_process Sys.executable_name (Array.of_list args) Unix.stdin devnull
+            devnull
+        in
+        Unix.close devnull;
+        (* loadgen's connects wait for the daemon to accept *)
+        Some pid
+      end
+    in
+    let result =
+      Loadgen.run ~addr
+        {
+          Loadgen.conns;
+          requests;
+          mix;
+          seed = Int64.of_int seed;
+          rate;
+          deadline_ms = deadline;
+          verify = not no_verify;
+          shutdown = spawn;
+          prewarm;
+        }
+    in
+    (match (result, server_pid) with
+    | Ok _, Some pid ->
+        (* loadgen already sent shutdown; reap the daemon *)
+        ignore (Unix.waitpid [] pid)
+    | Error _, Some pid ->
+        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+    | _, None -> ());
+    if spawn && tcp = None then (try Unix.unlink socket with Unix.Unix_error _ -> ());
+    match result with
     | Error msg ->
-        Fmt.epr "loadgen: bad --mix: %s@." msg;
-        2
-    | Ok mix -> (
-        let addr =
-          match tcp with
-          | Some port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
-          | None -> Unix.ADDR_UNIX socket
-        in
-        let server_pid =
-          if not spawn then None
-          else begin
-            let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-            let args =
-              (match tcp with
-              | Some port -> [ Sys.executable_name; "serve"; "--tcp"; string_of_int port ]
-              | None -> [ Sys.executable_name; "serve"; "--socket"; socket ])
-              @ (if spawn_workers > 0 then [ "--workers"; string_of_int spawn_workers ]
-                 else [])
-            in
-            let pid =
-              Unix.create_process Sys.executable_name (Array.of_list args) Unix.stdin
-                devnull devnull
-            in
-            Unix.close devnull;
-            (* loadgen's connects wait for the daemon to accept *)
-            Some pid
-          end
-        in
-        let reap result =
-          (match (result, server_pid) with
-          | Ok _, Some pid ->
-              (* loadgen already sent shutdown; reap the daemon *)
-              ignore (Unix.waitpid [] pid)
-          | Error _, Some pid ->
-              (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-              ignore (Unix.waitpid [] pid)
-          | _, None -> ());
-          if spawn && tcp = None then (try Unix.unlink socket with Unix.Unix_error _ -> ())
-        in
-        match rate with
-        | None -> (
-            let cfg =
-              {
-                Vc_serve.Loadgen.clients;
-                requests;
-                mix;
-                seed = Int64.of_int seed;
-                deadline_ms = deadline;
-                verify = not no_verify;
-                shutdown = spawn;
-              }
-            in
-            let result = Vc_serve.Loadgen.run ~addr cfg in
-            reap result;
-            match result with
-            | Error msg ->
-                Fmt.epr "loadgen: %s@." msg;
-                1
-            | Ok s ->
-                if human json then Fmt.pr "%a" Vc_serve.Loadgen.pp_summary s;
-                emit_json json (Vc_serve.Loadgen.summary_to_json s);
-                if s.Vc_serve.Loadgen.s_mismatches = 0 then 0 else 1)
-        | Some o_rate -> (
-            let cfg =
-              {
-                Vc_serve.Loadgen.o_rate;
-                o_requests = requests;
-                o_conns = conns;
-                o_mix = mix;
-                o_seed = Int64.of_int seed;
-                o_verify = not no_verify;
-                o_shutdown = spawn;
-                o_prewarm = prewarm;
-              }
-            in
-            let result = Vc_serve.Loadgen.run_open ~addr cfg in
-            reap result;
-            match result with
-            | Error msg ->
-                Fmt.epr "loadgen: %s@." msg;
-                1
-            | Ok s ->
-                if human json then Fmt.pr "%a" Vc_serve.Loadgen.pp_open_summary s;
-                emit_json json (Vc_serve.Loadgen.open_summary_to_json s);
-                if s.Vc_serve.Loadgen.os_mismatches = 0 then 0 else 1))
+        Fmt.epr "loadgen: %s@." msg;
+        1
+    | Ok s ->
+        if human json then Fmt.pr "%a" Loadgen.pp_summary s;
+        emit_json json (Loadgen.summary_to_json s);
+        if s.Loadgen.s_mismatches = 0 then 0 else 1
   in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:
          "Drive a serving daemon with a deterministic request mix — closed-loop by default, \
-          open-loop Poisson arrivals with $(b,--rate) — verify every reply byte-for-byte \
-          against in-process computation, and report p50/p95/p99 latency per request kind \
-          (plus achieved throughput and shed rate in open-loop mode).")
+          Poisson arrivals with $(b,--rate) — verify every reply byte-for-byte against \
+          in-process computation, and report achieved throughput, errors by code and \
+          p50/p95/p99 latency per request kind.")
     Term.(
-      const run $ socket_term $ tcp_term $ spawn $ workers_term $ clients $ requests $ rate
-      $ conns $ mix $ seed_term $ deadline $ no_verify $ prewarm $ json_term)
+      const run $ socket_term $ tcp_term $ spawn $ workers_term $ conns $ requests $ rate
+      $ mix $ seed_term $ deadline $ no_verify $ prewarm $ json_term)
 
 (* --- synth ------------------------------------------------------------------ *)
 

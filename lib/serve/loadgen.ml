@@ -3,13 +3,15 @@ module Splitmix = Vc_rng.Splitmix
 module Registry = Vc_check.Registry
 
 type config = {
-  clients : int;
+  conns : int option;
   requests : int;
   mix : (string * int) list;
   seed : int64;
+  rate : float option;
   deadline_ms : int option;
   verify : bool;
   shutdown : bool;
+  prewarm : bool;
 }
 
 let kinds = [ "solve"; "probe"; "trace"; "warm"; "list"; "stats" ]
@@ -45,15 +47,22 @@ type percentiles = {
 }
 
 type summary = {
-  s_clients : int;
+  s_rate : float option;
+  s_achieved : float;
+  s_conns : int;
   s_requests : int;
   s_ok : int;
   s_errors : (string * int) list;
   s_mismatches : int;
   s_wall_s : float;
   s_latency : (string * percentiles) list;
+  s_queue_depth : (int * int) list;
+  s_prewarm : (int * int) option;
   s_server_stats : Json.t option;
 }
+
+let error_count s code =
+  Option.value (List.assoc_opt (Protocol.code_to_string code) s.s_errors) ~default:0
 
 (* --- deterministic request plan ---------------------------------------------- *)
 
@@ -111,8 +120,7 @@ exception Fail of string
 let ok_or_fail = function Ok v -> v | Error msg -> raise (Fail msg)
 let connect addr = ok_or_fail (Wire.connect addr)
 
-let read_reply ch =
-  let body = ok_or_fail (Wire.read_body ch) in
+let parse_reply body =
   match Result.bind (Json.parse body) Protocol.reply_of_json with
   | Ok r -> r
   | Error msg -> raise (Fail ("bad reply: " ^ msg))
@@ -120,9 +128,9 @@ let read_reply ch =
 (* One blocking round trip of a control request (no deadline). *)
 let call ch id query =
   Wire.send ch { Protocol.id; deadline_ms = None; query };
-  read_reply ch
+  parse_reply (ok_or_fail (Wire.read_body ch))
 
-(* --- tallies shared by both loops --------------------------------------------- *)
+(* --- tallies ------------------------------------------------------------------- *)
 
 type tally = {
   mutable t_ok : int;
@@ -198,132 +206,13 @@ let percentiles_of samples =
     l_max_us = a.(n - 1);
   }
 
-(* --- the closed loop ---------------------------------------------------------- *)
+(* --- the loop ------------------------------------------------------------------ *)
 
-type client = {
+type conn = {
   ch : Wire.t;
-  mutable todo : (int * Protocol.query) list;  (** (request id, query), in order *)
-  mutable inflight : (int * Protocol.query * float) option;
-}
-
-let run ~addr cfg =
-  if cfg.clients < 1 then invalid_arg "Loadgen.run: clients must be >= 1";
-  if cfg.requests < 0 then invalid_arg "Loadgen.run: requests must be >= 0";
-  if cfg.mix = [] || List.exists (fun (_, w) -> w <= 0) cfg.mix then
-    invalid_arg "Loadgen.run: mix must be non-empty with positive weights";
-  let twin = Handler.create () in
-  let entries = Registry.all () in
-  match
-    let plan = gen_plan twin entries ~mix:cfg.mix ~seed:cfg.seed ~requests:cfg.requests in
-    let clients =
-      List.init cfg.clients (fun _ -> { ch = connect addr; todo = []; inflight = None })
-    in
-    let carr = Array.of_list clients in
-    List.iteri
-      (fun i q ->
-        let c = carr.(i mod cfg.clients) in
-        c.todo <- c.todo @ [ (i + 1, q) ])
-      plan;
-    let tally = tally_create () in
-    let settle c =
-      match c.inflight with
-      | None -> ()
-      | Some (id, q, t0) ->
-          let r = read_reply c.ch in
-          note_latency tally (Protocol.kind q)
-            (int_of_float (Float.max 0. ((Unix.gettimeofday () -. t0) *. 1e6)));
-          c.inflight <- None;
-          if r.Protocol.r_id <> id then
-            raise (Fail (Printf.sprintf "reply id %d for request %d" r.Protocol.r_id id));
-          (match r.Protocol.body with
-          | Ok payload ->
-              tally.t_ok <- tally.t_ok + 1;
-              if cfg.verify then verify_payload twin tally q payload
-          | Error (code, _) -> note_error tally code)
-    in
-    let t_start = Unix.gettimeofday () in
-    while Array.exists (fun c -> c.todo <> []) carr do
-      (* write phase: every client with work sends before anyone reads,
-         so concurrent requests reach the server as one batch *)
-      Array.iter
-        (fun c ->
-          match c.todo with
-          | [] -> ()
-          | (id, q) :: rest ->
-              c.todo <- rest;
-              let t0 = Unix.gettimeofday () in
-              Wire.send c.ch { Protocol.id; deadline_ms = cfg.deadline_ms; query = q };
-              c.inflight <- Some (id, q, t0))
-        carr;
-      Array.iter settle carr
-    done;
-    let wall = Unix.gettimeofday () -. t_start in
-    (* control requests on client 0: a stats snapshot for the report,
-       then (optionally) shutdown; neither counts toward the summary *)
-    let c0 = carr.(0).ch in
-    let server_stats =
-      match (call c0 (cfg.requests + 1) Protocol.Stats).Protocol.body with
-      | Ok payload -> Some payload
-      | Error _ -> None
-    in
-    if cfg.shutdown then ignore (call c0 (cfg.requests + 2) Protocol.Shutdown : Protocol.reply);
-    Array.iter (fun c -> Wire.close c.ch) carr;
-    {
-      s_clients = cfg.clients;
-      s_requests = cfg.requests;
-      s_ok = tally.t_ok;
-      s_errors = sorted_assoc tally.t_errors Fun.id;
-      s_mismatches = tally.t_mismatches;
-      s_wall_s = wall;
-      s_latency = sorted_assoc tally.t_latencies (fun l -> percentiles_of !l);
-      s_server_stats = server_stats;
-    }
-  with
-  | summary -> Ok summary
-  | exception Fail msg -> Error msg
-  | exception Failure msg -> Error msg
-  | exception Unix.Unix_error (e, fn, _) ->
-      Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
-
-(* --- the open loop ------------------------------------------------------------ *)
-
-type open_config = {
-  o_rate : float;  (** target arrival rate, requests/s *)
-  o_requests : int;
-  o_conns : int option;
-  o_mix : (string * int) list;
-  o_seed : int64;
-  o_verify : bool;
-  o_shutdown : bool;
-  o_prewarm : bool;
-}
-
-type open_summary = {
-  os_rate : float;
-  os_achieved : float;
-  os_conns : int;
-  os_requests : int;
-  os_ok : int;
-  os_shed : int;
-  os_worker_lost : int;
-  os_errors : (string * int) list;
-  os_mismatches : int;
-  os_wall_s : float;
-  os_latency : (string * percentiles) list;
-  os_queue_depth : (int * int) list;
-  os_prewarm : (int * int) option;
-      (** [(sessions, cold_starts)] when [--prewarm] ran: distinct
-          sessions warmed before the measured phase, and how many of
-          them were cold (the server had to build or snapshot-load, the
-          stall the first measured request would otherwise have eaten) *)
-  os_server_stats : Json.t option;
-}
-
-type oconn = {
-  oc : Wire.t;
-  oc_out : Buffer.t;
-  mutable oc_off : int;  (** bytes of [oc_out] already written *)
-  oc_pending : (int, Protocol.query * float) Hashtbl.t;
+  out : Buffer.t;
+  mutable off : int;  (** bytes of [out] already written *)
+  pending : (int, Protocol.query * float) Hashtbl.t;  (** id → query, arrival time *)
 }
 
 (* How many shards does the server report?  One connection per shard
@@ -354,202 +243,190 @@ let shard_inflight stats =
         rows
   | _ -> []
 
-let run_open ~addr cfg =
-  if cfg.o_rate <= 0. then invalid_arg "Loadgen.run_open: rate must be > 0";
-  if cfg.o_requests < 0 then invalid_arg "Loadgen.run_open: requests must be >= 0";
-  if cfg.o_mix = [] || List.exists (fun (_, w) -> w <= 0) cfg.o_mix then
-    invalid_arg "Loadgen.run_open: mix must be non-empty with positive weights";
-  (match cfg.o_conns with
-  | Some c when c < 1 -> invalid_arg "Loadgen.run_open: conns must be >= 1"
+(* Warm every session the plan will touch over a blocking side
+   connection, so the measured phase never charges instance construction
+   to the first unlucky request of a session.  Replies say where the
+   instance came from; anything other than "cache" was a cold start the
+   measured phase just dodged.  Returns (sessions, cold starts). *)
+let prewarm addr plan =
+  let seen = Hashtbl.create 16 in
+  let keys =
+    Array.to_list plan
+    |> List.filter_map (function
+         | Protocol.Solve { problem; size; seed }
+         | Protocol.Warm { problem; size; seed }
+         | Protocol.Probe { problem; size; seed; _ }
+         | Protocol.Trace { problem; size; seed; _ } ->
+             if Hashtbl.mem seen (problem, size, seed) then None
+             else begin
+               Hashtbl.replace seen (problem, size, seed) ();
+               Some (problem, size, seed)
+             end
+         | Protocol.List | Protocol.Stats | Protocol.Shutdown -> None)
+  in
+  let ch = connect addr in
+  let cold = ref 0 in
+  List.iteri
+    (fun i (problem, size, seed) ->
+      match (call ch (i + 1) (Protocol.Warm { problem; size; seed })).Protocol.body with
+      | Ok payload -> (
+          match Option.bind (Json.member payload "source") Json.to_str with
+          | Some "cache" | None -> ()
+          | Some _ -> incr cold)
+      | Error _ -> ())
+    keys;
+  Wire.close ch;
+  (List.length keys, !cold)
+
+let run ~addr cfg =
+  if cfg.requests < 0 then invalid_arg "Loadgen.run: requests must be >= 0";
+  if cfg.mix = [] || List.exists (fun (_, w) -> w <= 0) cfg.mix then
+    invalid_arg "Loadgen.run: mix must be non-empty with positive weights";
+  (match cfg.conns with
+  | Some c when c < 1 -> invalid_arg "Loadgen.run: conns must be >= 1"
+  | _ -> ());
+  (match cfg.rate with
+  | Some r when not (r > 0.) -> invalid_arg "Loadgen.run: rate must be > 0"
   | _ -> ());
   let twin = Handler.create () in
   let entries = Registry.all () in
   match
     let plan =
-      gen_plan twin entries ~mix:cfg.o_mix ~seed:cfg.o_seed ~requests:cfg.o_requests
-      |> Array.of_list
+      gen_plan twin entries ~mix:cfg.mix ~seed:cfg.seed ~requests:cfg.requests |> Array.of_list
     in
-    let n_conns =
-      match cfg.o_conns with Some c -> c | None -> discover_shards addr
-    in
+    let n_conns = match cfg.conns with Some c -> c | None -> discover_shards addr in
     let conns =
       Array.init n_conns (fun _ ->
-          let oc = connect addr in
-          Unix.set_nonblock oc.Wire.fd;
-          {
-            oc;
-            oc_out = Buffer.create 4096;
-            oc_off = 0;
-            oc_pending = Hashtbl.create 16;
-          })
+          let ch = connect addr in
+          Unix.set_nonblock ch.Wire.fd;
+          { ch; out = Buffer.create 4096; off = 0; pending = Hashtbl.create 16 })
     in
+    let prewarmed = if cfg.prewarm then Some (prewarm addr plan) else None in
     let tally = tally_create () in
-    let shed = ref 0 in
-    let lost = ref 0 in
-    (* Warm every session the plan will touch over a blocking side
-       connection, so the measured phase never charges instance
-       construction to the first unlucky request of a session.  Replies
-       say where the instance came from; anything other than "cache"
-       was a cold start the measured phase just dodged. *)
-    let prewarm =
-      if not cfg.o_prewarm then None
-      else begin
-        let seen = Hashtbl.create 16 in
-        let keys =
-          Array.to_list plan
-          |> List.filter_map (fun q ->
-                 match q with
-                 | Protocol.Solve { problem; size; seed }
-                 | Protocol.Warm { problem; size; seed }
-                 | Protocol.Probe { problem; size; seed; _ }
-                 | Protocol.Trace { problem; size; seed; _ } ->
-                     if Hashtbl.mem seen (problem, size, seed) then None
-                     else begin
-                       Hashtbl.replace seen (problem, size, seed) ();
-                       Some (problem, size, seed)
-                     end
-                 | Protocol.List | Protocol.Stats | Protocol.Shutdown -> None)
-        in
-        let ch = connect addr in
-        let cold = ref 0 in
-        List.iteri
-          (fun i (problem, size, seed) ->
-            match (call ch (i + 1) (Protocol.Warm { problem; size; seed })).Protocol.body with
-            | Ok payload -> (
-                match Option.bind (Json.member payload "source") Json.to_str with
-                | Some "cache" | None -> ()
-                | Some _ -> incr cold)
-            | Error _ -> ())
-          keys;
-        Wire.close ch;
-        Some (List.length keys, !cold)
-      end
-    in
-    (* exponential inter-arrivals: a Poisson process at o_rate, derived
-       deterministically from the seed (offset so the arrival stream is
-       independent of the request plan's stream) *)
-    let arr_rng = Splitmix.create (Splitmix.mix (Int64.add cfg.o_seed 7L)) in
-    let next_gap () =
-      let u = Splitmix.float arr_rng in
-      -.log (1. -. u) /. cfg.o_rate
-    in
     let total = Array.length plan in
     let sent = ref 0 in
+    let enqueue c arrival =
+      let id = !sent + 1 in
+      let q = plan.(!sent) in
+      Buffer.add_string c.out
+        (Protocol.frame
+           (Json.to_string
+              (Protocol.request_to_json { Protocol.id; deadline_ms = cfg.deadline_ms; query = q })));
+      Hashtbl.replace c.pending id (q, arrival);
+      incr sent
+    in
     let t_start = Unix.gettimeofday () in
-    let next_arrival = ref (t_start +. next_gap ()) in
+    (* The arrival policy: [admit now] enqueues every request that has
+       arrived by [now] and returns how long the loop may wait for the
+       next arrival.  Latency always runs from the arrival. *)
+    let admit =
+      match cfg.rate with
+      | None ->
+          (* closed loop: a request arrives as soon as a connection has
+             nothing in flight, so latency runs from the send *)
+          fun now ->
+            Array.iter
+              (fun c -> if !sent < total && Hashtbl.length c.pending = 0 then enqueue c now)
+              conns;
+            0.05
+      | Some rate ->
+          (* a Poisson process at [rate]: exponential gaps derived from
+             the seed (offset so the arrival stream is independent of
+             the plan's), fanned out round-robin.  Latency from the
+             scheduled arrival charges client-side backlog to the tail
+             (no coordinated omission). *)
+          let rng = Splitmix.create (Splitmix.mix (Int64.add cfg.seed 7L)) in
+          let gap () = -.log (1. -. Splitmix.float rng) /. rate in
+          let next = ref (t_start +. gap ()) in
+          fun now ->
+            while !sent < total && !next <= now do
+              enqueue conns.(!sent mod n_conns) !next;
+              next := !next +. gap ()
+            done;
+            if !sent < total then Float.max 0. (Float.min 0.05 (!next -. now)) else 0.05
+    in
     let t_last = ref t_start in
-    let settle_reply c (r : Protocol.reply) =
-      match Hashtbl.find_opt c.oc_pending r.Protocol.r_id with
+    let settle c (r : Protocol.reply) =
+      match Hashtbl.find_opt c.pending r.Protocol.r_id with
       | None -> raise (Fail (Printf.sprintf "unexpected reply id %d" r.Protocol.r_id))
-      | Some (q, t0) ->
-          Hashtbl.remove c.oc_pending r.Protocol.r_id;
+      | Some (q, arrival) ->
+          Hashtbl.remove c.pending r.Protocol.r_id;
           let now = Unix.gettimeofday () in
           t_last := now;
-          (* latency from the *scheduled* arrival, so client-side backlog
-             (coordinated omission) shows up in the tail, not nowhere *)
-          note_latency tally (Protocol.kind q) (int_of_float (Float.max 0. ((now -. t0) *. 1e6)));
+          note_latency tally (Protocol.kind q)
+            (int_of_float (Float.max 0. ((now -. arrival) *. 1e6)));
           (match r.Protocol.body with
           | Ok payload ->
               tally.t_ok <- tally.t_ok + 1;
-              if cfg.o_verify then verify_payload twin tally q payload
-          | Error (code, _) ->
-              (match code with
-              | Protocol.Overloaded -> incr shed
-              | Protocol.Worker_lost -> incr lost
-              | _ -> ());
-              note_error tally code)
+              if cfg.verify then verify_payload twin tally q payload
+          | Error (code, _) -> note_error tally code)
     in
     let rec drain c =
-      match Protocol.next_frame c.oc.Wire.dec with
+      match Protocol.next_frame c.ch.Wire.dec with
       | Ok None -> ()
       | Error msg -> raise (Fail ("reply framing: " ^ msg))
       | Ok (Some body) ->
-          (match Result.bind (Json.parse body) Protocol.reply_of_json with
-          | Error msg -> raise (Fail ("bad reply: " ^ msg))
-          | Ok r -> settle_reply c r);
+          settle c (parse_reply body);
           drain c
     in
-    let inflight () =
-      Array.fold_left (fun a c -> a + Hashtbl.length c.oc_pending) 0 conns
+    (* one non-blocking write; what does not fit waits for the next pass *)
+    let flush c =
+      let s = Buffer.contents c.out in
+      let len = String.length s in
+      if len > c.off then begin
+        (try c.off <- c.off + Unix.write_substring c.ch.Wire.fd s c.off (len - c.off)
+         with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+        if c.off >= len then begin
+          Buffer.clear c.out;
+          c.off <- 0
+        end
+      end
     in
+    let inflight () = Array.fold_left (fun a c -> a + Hashtbl.length c.pending) 0 conns in
     while !sent < total || inflight () > 0 do
-      let now = Unix.gettimeofday () in
-      (* enqueue every arrival that is due; the connection is chosen
-         round-robin and the frame goes to its out-buffer, never a
-         blocking write *)
-      while !sent < total && !next_arrival <= now do
-        let id = !sent + 1 in
-        let q = plan.(!sent) in
-        let c = conns.(!sent mod n_conns) in
-        Buffer.add_string c.oc_out
-          (Protocol.frame
-             (Json.to_string
-                (Protocol.request_to_json { Protocol.id; deadline_ms = None; query = q })));
-        Hashtbl.replace c.oc_pending id (q, !next_arrival);
-        incr sent;
-        next_arrival := !next_arrival +. next_gap ()
-      done;
-      let timeout =
-        if !sent < total then Float.max 0. (Float.min 0.05 (!next_arrival -. now)) else 0.05
-      in
-      let rd = Array.to_list (Array.map (fun c -> c.oc.Wire.fd) conns) in
+      let timeout = admit (Unix.gettimeofday ()) in
+      Array.iter flush conns;
+      let rd = Array.to_list (Array.map (fun c -> c.ch.Wire.fd) conns) in
       let wr =
         Array.to_list conns
-        |> List.filter_map (fun c ->
-               if Buffer.length c.oc_out > c.oc_off then Some c.oc.Wire.fd else None)
+        |> List.filter_map (fun c -> if Buffer.length c.out > 0 then Some c.ch.Wire.fd else None)
       in
-      let readable, writable, _ = Unix.select rd wr [] timeout in
+      let readable, _, _ = Unix.select rd wr [] timeout in
       Array.iter
         (fun c ->
-          if List.mem c.oc.Wire.fd writable then begin
-            (* one write per readiness; what does not fit waits for the
-               next select *)
-            let s = Buffer.contents c.oc_out in
-            let len = String.length s in
-            (try
-               c.oc_off <- c.oc_off + Unix.write_substring c.oc.Wire.fd s c.oc_off (len - c.oc_off)
-             with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-            if c.oc_off >= len then begin
-              Buffer.clear c.oc_out;
-              c.oc_off <- 0
-            end
-          end)
-        conns;
-      Array.iter
-        (fun c ->
-          if List.mem c.oc.Wire.fd readable then
-            match Wire.read c.oc with
+          if List.mem c.ch.Wire.fd readable then
+            match Wire.read c.ch with
             | Wire.Eof -> raise (Fail "server closed the connection mid-run")
             | Wire.Data -> drain c
             | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
         conns
     done;
     let wall = Float.max 1e-9 (!t_last -. t_start) in
-    (* control requests go over a blocking connection of their own *)
-    let c0 = conns.(0).oc in
+    (* control requests on connection 0, blocking again: a stats
+       snapshot for the report, then (optionally) shutdown; neither
+       counts toward the summary *)
+    let c0 = conns.(0).ch in
     Unix.clear_nonblock c0.Wire.fd;
     let server_stats =
       match (call c0 (total + 1) Protocol.Stats).Protocol.body with
       | Ok payload -> Some payload
       | Error _ -> None
     in
-    if cfg.o_shutdown then ignore (call c0 (total + 2) Protocol.Shutdown : Protocol.reply);
-    Array.iter (fun c -> Wire.close c.oc) conns;
+    if cfg.shutdown then ignore (call c0 (total + 2) Protocol.Shutdown : Protocol.reply);
+    Array.iter (fun c -> Wire.close c.ch) conns;
     {
-      os_rate = cfg.o_rate;
-      os_achieved = (if total = 0 then 0. else float_of_int total /. wall);
-      os_conns = n_conns;
-      os_requests = total;
-      os_ok = tally.t_ok;
-      os_shed = !shed;
-      os_worker_lost = !lost;
-      os_errors = sorted_assoc tally.t_errors Fun.id;
-      os_mismatches = tally.t_mismatches;
-      os_wall_s = wall;
-      os_latency = sorted_assoc tally.t_latencies (fun l -> percentiles_of !l);
-      os_queue_depth = shard_inflight server_stats;
-      os_prewarm = prewarm;
-      os_server_stats = server_stats;
+      s_rate = cfg.rate;
+      s_achieved = (if total = 0 then 0. else float_of_int total /. wall);
+      s_conns = n_conns;
+      s_requests = total;
+      s_ok = tally.t_ok;
+      s_errors = sorted_assoc tally.t_errors Fun.id;
+      s_mismatches = tally.t_mismatches;
+      s_wall_s = wall;
+      s_latency = sorted_assoc tally.t_latencies (fun l -> percentiles_of !l);
+      s_queue_depth = shard_inflight server_stats;
+      s_prewarm = prewarmed;
+      s_server_stats = server_stats;
     }
   with
   | summary -> Ok summary
@@ -583,49 +460,31 @@ let summary_to_json s =
       ( "loadgen",
         Json.Obj
           [
-            ("clients", Json.Int s.s_clients);
+            ("rate_rps", match s.s_rate with Some r -> Json.Float r | None -> Json.Null);
+            ("achieved_rps", Json.Float s.s_achieved);
+            ("conns", Json.Int s.s_conns);
             ("requests", Json.Int s.s_requests);
             ("ok", Json.Int s.s_ok);
+            ("shed", Json.Int (error_count s Protocol.Overloaded));
+            ("worker_lost", Json.Int (error_count s Protocol.Worker_lost));
             ("mismatches", Json.Int s.s_mismatches);
             ("wall_s", Json.Float s.s_wall_s);
             ("errors", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.s_errors));
             ("latency_us", latency_json s.s_latency);
-            ( "server_stats",
-              match s.s_server_stats with Some j -> j | None -> Json.Null );
-          ] );
-    ]
-
-let open_summary_to_json s =
-  Json.Obj
-    [
-      ( "loadgen_open",
-        Json.Obj
-          [
-            ("rate_rps", Json.Float s.os_rate);
-            ("achieved_rps", Json.Float s.os_achieved);
-            ("conns", Json.Int s.os_conns);
-            ("requests", Json.Int s.os_requests);
-            ("ok", Json.Int s.os_ok);
-            ("shed", Json.Int s.os_shed);
-            ("worker_lost", Json.Int s.os_worker_lost);
-            ("mismatches", Json.Int s.os_mismatches);
-            ("wall_s", Json.Float s.os_wall_s);
-            ("errors", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.os_errors));
-            ("latency_us", latency_json s.os_latency);
             ( "queue_depth",
               Json.List
                 (List.map
                    (fun (shard, inflight) ->
                      Json.Obj [ ("shard", Json.Int shard); ("inflight", Json.Int inflight) ])
-                   s.os_queue_depth) );
+                   s.s_queue_depth) );
             ( "prewarm",
-              match s.os_prewarm with
+              match s.s_prewarm with
               | None -> Json.Null
               | Some (sessions, cold) ->
                   Json.Obj [ ("sessions", Json.Int sessions); ("cold_starts", Json.Int cold) ]
             );
             ( "server_stats",
-              match s.os_server_stats with Some j -> j | None -> Json.Null );
+              match s.s_server_stats with Some j -> j | None -> Json.Null );
           ] );
     ]
 
@@ -633,37 +492,29 @@ let pp_pct ppf = function
   | Some v -> Format.fprintf ppf "%6d" v
   | None -> Format.fprintf ppf "%6s" "-"
 
-let pp_latency ppf latency =
-  List.iter
-    (fun (kind, p) ->
-      Format.fprintf ppf "  %-8s count %-5d p50 %a us   p95 %a us   p99 %a us   max %6d us@."
-        kind p.l_count pp_pct p.l_p50_us pp_pct p.l_p95_us pp_pct p.l_p99_us p.l_max_us)
-    latency
-
 let pp_summary ppf s =
-  Format.fprintf ppf "loadgen: %d requests over %d client(s) in %.3f s@." s.s_requests
-    s.s_clients s.s_wall_s;
-  Format.fprintf ppf "  ok %d, errors %d, mismatches %d@." s.s_ok
+  Format.fprintf ppf "loadgen: %d requests over %d conn(s) in %.3f s, %s@." s.s_requests
+    s.s_conns s.s_wall_s
+    (match s.s_rate with
+    | None -> "closed loop"
+    | Some r -> Printf.sprintf "%.0f rps target" r);
+  Format.fprintf ppf "  achieved %.1f rps, ok %d, errors %d, mismatches %d@." s.s_achieved
+    s.s_ok
     (List.fold_left (fun a (_, c) -> a + c) 0 s.s_errors)
     s.s_mismatches;
-  List.iter (fun (code, c) -> Format.fprintf ppf "  error %-18s %d@." code c) s.s_errors;
-  pp_latency ppf s.s_latency
-
-let pp_open_summary ppf s =
-  Format.fprintf ppf
-    "loadgen (open loop): %d requests at %.0f rps target over %d conn(s) in %.3f s@."
-    s.os_requests s.os_rate s.os_conns s.os_wall_s;
-  Format.fprintf ppf "  achieved %.1f rps, ok %d, shed %d, worker_lost %d, mismatches %d@."
-    s.os_achieved s.os_ok s.os_shed s.os_worker_lost s.os_mismatches;
-  (match s.os_prewarm with
+  (match s.s_prewarm with
   | None -> ()
   | Some (sessions, cold) ->
       Format.fprintf ppf "  prewarmed %d session(s), %d cold start(s) absorbed@." sessions cold);
-  List.iter (fun (code, c) -> Format.fprintf ppf "  error %-18s %d@." code c) s.os_errors;
-  (match s.os_queue_depth with
+  List.iter (fun (code, c) -> Format.fprintf ppf "  error %-18s %d@." code c) s.s_errors;
+  (match s.s_queue_depth with
   | [] -> ()
   | qs ->
       Format.fprintf ppf "  final queue depth:";
       List.iter (fun (shard, d) -> Format.fprintf ppf " shard %d: %d" shard d) qs;
       Format.fprintf ppf "@.");
-  pp_latency ppf s.os_latency
+  List.iter
+    (fun (kind, p) ->
+      Format.fprintf ppf "  %-8s count %-5d p50 %a us   p95 %a us   p99 %a us   max %6d us@."
+        kind p.l_count pp_pct p.l_p50_us pp_pct p.l_p95_us pp_pct p.l_p99_us p.l_max_us)
+    s.s_latency

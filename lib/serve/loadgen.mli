@@ -1,23 +1,20 @@
-(** Load generators for the serving daemon — a closed loop and an open
-    loop.
+(** Load generator for the serving daemon: one non-blocking select loop
+    over [conns] connections, with two arrival policies.
 
-    {b Closed loop} ({!run}): [clients] connections each keep exactly
-    one request in flight; every round, all clients write their next
-    request before any reply is read, so the server's select loop sees
-    them together and dispatches them as one batch.
+    {b Closed loop} ([rate = None]): a request arrives as soon as a
+    connection has nothing in flight, so each connection keeps exactly
+    one request outstanding and latency runs from the send.
 
-    {b Open loop} ({!run_open}): requests arrive as a Poisson process at
-    a target rate — exponential inter-arrival gaps, derived
+    {b Rate} ([rate = Some r]): requests arrive as a Poisson process at
+    [r] requests/s — exponential inter-arrival gaps, derived
     deterministically from the seed — regardless of how fast the server
-    answers.  Arrivals are fanned out round-robin over non-blocking
-    connections (by default one per shard the server reports, so a
-    sharded tier's worker channels stay independently busy), and
-    latency is measured from the {e scheduled} arrival so client-side
-    backlog is charged to the tail (no coordinated omission).  This is
-    the loop that finds the saturation point: pushed past capacity the
-    server sheds with [overloaded], reported as {!open_summary.os_shed}.
+    answers, fanned out round-robin over the connections.  Latency runs
+    from the {e scheduled} arrival, so client-side backlog is charged to
+    the tail (no coordinated omission).  This is the policy that finds
+    the saturation point: pushed past capacity the server sheds with
+    [overloaded], counted in {!summary.s_errors}.
 
-    In both loops the request plan — kinds drawn from a weighted [mix],
+    In both, the request plan — kinds drawn from a weighted [mix],
     instances drawn from the registry's quick sizes over a small set of
     derived seeds (to exercise both cache hits and evictions), origins
     uniform over the instance's nodes — is a deterministic function of
@@ -38,13 +35,23 @@
 module Json = Vc_obs.Json
 
 type config = {
-  clients : int;
-  requests : int;  (** total, spread round-robin over the clients *)
+  conns : int option;
+      (** [None]: one connection per shard the server's [stats] reports
+          (1 for a single-process server) *)
+  requests : int;  (** total, excluding the final control requests *)
   mix : (string * int) list;  (** request kind → weight, weights > 0 *)
   seed : int64;
+  rate : float option;
+      (** [None]: closed loop; [Some r]: Poisson arrivals at [r] > 0
+          requests/s *)
   deadline_ms : int option;  (** attached to every generated request *)
   verify : bool;
-  shutdown : bool;  (** finish with a [shutdown] request on client 0 *)
+  shutdown : bool;  (** finish with a [shutdown] request *)
+  prewarm : bool;
+      (** Issue a [warm] query for every distinct session in the plan
+          over a blocking side connection before the measured phase, so
+          instance construction is never charged to the first measured
+          request of a session. *)
 }
 
 val default_mix : (string * int) list
@@ -63,67 +70,34 @@ type percentiles = {
 }
 
 type summary = {
-  s_clients : int;
-  s_requests : int;  (** requests sent (excluding the final shutdown) *)
+  s_rate : float option;  (** target rate; [None] for the closed loop *)
+  s_achieved : float;  (** requests / wall — equals a target rate only below saturation *)
+  s_conns : int;
+  s_requests : int;  (** requests sent (excluding the final control requests) *)
   s_ok : int;
   s_errors : (string * int) list;  (** error code → count, sorted *)
   s_mismatches : int;  (** verified replies that differed from the twin *)
-  s_wall_s : float;
+  s_wall_s : float;  (** first arrival to last reply *)
   s_latency : (string * percentiles) list;  (** per kind, sorted *)
-  s_server_stats : Json.t option;  (** the daemon's final [stats] payload *)
-}
-
-val run : addr:Unix.sockaddr -> config -> (summary, string) result
-(** Drive the daemon at [addr] over one {!Wire.connect}ion per client
-    (each waits up to 10 s for the daemon to accept).  [Error] means the
-    run could not complete (nothing accepting, stream closed mid-reply)
-    — protocol-level error replies are counted in the summary, not
-    fatal. *)
-
-type open_config = {
-  o_rate : float;  (** target arrival rate, requests/s; must be > 0 *)
-  o_requests : int;
-  o_conns : int option;
-      (** [None]: one connection per shard the server's [stats] reports
-          (1 for a single-process server) *)
-  o_mix : (string * int) list;
-  o_seed : int64;
-  o_verify : bool;
-  o_shutdown : bool;
-  o_prewarm : bool;
-      (** Issue a [warm] query for every distinct session in the plan
-          over a blocking side connection before the measured phase, so
-          instance construction is never charged to the first measured
-          request of a session. *)
-}
-
-type open_summary = {
-  os_rate : float;  (** target rate *)
-  os_achieved : float;  (** requests / wall — equals the target only below saturation *)
-  os_conns : int;
-  os_requests : int;
-  os_ok : int;
-  os_shed : int;  (** [overloaded] replies *)
-  os_worker_lost : int;  (** [worker_lost] replies *)
-  os_errors : (string * int) list;
-  os_mismatches : int;
-  os_wall_s : float;  (** first send to last reply *)
-  os_latency : (string * percentiles) list;
-  os_queue_depth : (int * int) list;
+  s_queue_depth : (int * int) list;
       (** shard → in-flight depth at the final [stats] snapshot *)
-  os_prewarm : (int * int) option;
+  s_prewarm : (int * int) option;
       (** [(sessions, cold_starts)] when the run prewarmed: sessions
           warmed ahead of the measured phase and how many were cold
           (server built or snapshot-loaded rather than cache-hit) *)
-  os_server_stats : Json.t option;
+  s_server_stats : Json.t option;  (** the daemon's final [stats] payload *)
 }
 
-val run_open : addr:Unix.sockaddr -> open_config -> (open_summary, string) result
-(** Open-loop run against the daemon at [addr]: one connection per
-    measured channel, plus one for shard discovery and one for the
-    prewarm, each opened like {!run}'s. *)
+val error_count : summary -> Protocol.error_code -> int
+(** Replies that carried this error code ([Overloaded]: shed). *)
+
+val run : addr:Unix.sockaddr -> config -> (summary, string) result
+(** Drive the daemon at [addr]: one {!Wire.connect}ion per measured
+    channel, plus one for shard discovery when [conns = None] and one
+    for the prewarm (each waits up to 10 s for the daemon to accept).
+    [Error] means the run could not complete (nothing accepting, stream
+    closed mid-reply) — protocol-level error replies are counted in the
+    summary, not fatal. *)
 
 val summary_to_json : summary -> Json.t
-val open_summary_to_json : open_summary -> Json.t
 val pp_summary : Format.formatter -> summary -> unit
-val pp_open_summary : Format.formatter -> open_summary -> unit

@@ -157,56 +157,62 @@ let max_frame_bytes = 16 * 1024 * 1024
 let frame body = Printf.sprintf "%d %s\n" (String.length body) body
 
 (* The pending input lives in one Buffer; [consumed] bytes of its front
-   have already been handed out.  Compaction happens when the buffer is
-   fully drained, so steady-state request streams never copy. *)
-type decoder = { mutable pending : Buffer.t; mutable consumed : int }
+   have already been handed out.  Frames are scanned and sliced in place
+   from [consumed], so draining k frames from one read costs their bytes,
+   not k copies of the buffer.  The buffer is compacted only when a drain
+   stops: cleared once fully consumed, or left holding just the partial
+   frame at its front. *)
+type decoder = { pending : Buffer.t; mutable consumed : int }
 
 let decoder () = { pending = Buffer.create 512; consumed = 0 }
 
 let feed d buf len = Buffer.add_subbytes d.pending buf 0 len
 
 let next_frame d =
-  let s = Buffer.contents d.pending in
-  let avail = String.length s - d.consumed in
-  if avail = 0 then begin
-    Buffer.clear d.pending;
-    d.consumed <- 0;
+  let p = d.pending in
+  let stop = Buffer.length p in
+  let base = d.consumed in
+  let need_more () =
+    if base > 0 then begin
+      let rest = Buffer.sub p base (stop - base) in
+      Buffer.clear p;
+      Buffer.add_string p rest;
+      d.consumed <- 0
+    end;
     Ok None
-  end
-  else begin
-    let base = d.consumed in
-    (* parse "<digits> " *)
-    let rec scan i =
-      if i - base > 10 then Error "frame length prefix too long"
-      else if i >= String.length s then Ok None
-      else
-        match s.[i] with
-        | '0' .. '9' -> scan (i + 1)
-        | ' ' when i > base -> Ok (Some i)
-        | c -> Error (Printf.sprintf "invalid frame prefix character %C" c)
-    in
-    match scan base with
-    | Error _ as e -> e
-    | Ok None -> Ok None
-    | Ok (Some sp) -> (
-        match int_of_string_opt (String.sub s base (sp - base)) with
-        | None -> Error "invalid frame length"
-        | Some len when len > max_frame_bytes ->
-            Error (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" len max_frame_bytes)
-        | Some len ->
-            let body_start = sp + 1 in
-            if String.length s < body_start + len + 1 then Ok None
-            else if s.[body_start + len] <> '\n' then Error "frame body not newline-terminated"
-            else begin
-              let body = String.sub s body_start len in
-              d.consumed <- body_start + len + 1;
-              if d.consumed = String.length s then begin
-                Buffer.clear d.pending;
-                d.consumed <- 0
-              end;
-              Ok (Some body)
-            end)
-  end
+  in
+  (* parse "<digits> " *)
+  let rec scan i =
+    if i - base > 10 then Error "frame length prefix too long"
+    else if i >= stop then Ok None
+    else
+      match Buffer.nth p i with
+      | '0' .. '9' -> scan (i + 1)
+      | ' ' when i > base -> Ok (Some i)
+      | c -> Error (Printf.sprintf "invalid frame prefix character %C" c)
+  in
+  match scan base with
+  | Error _ as e -> e
+  | Ok None -> need_more ()
+  | Ok (Some sp) -> (
+      match int_of_string_opt (Buffer.sub p base (sp - base)) with
+      | None -> Error "invalid frame length"
+      | Some len when len > max_frame_bytes ->
+          Error (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" len max_frame_bytes)
+      | Some len ->
+          let body_start = sp + 1 in
+          if stop < body_start + len + 1 then need_more ()
+          else if Buffer.nth p (body_start + len) <> '\n' then
+            Error "frame body not newline-terminated"
+          else begin
+            let body = Buffer.sub p body_start len in
+            d.consumed <- body_start + len + 1;
+            if d.consumed = stop then begin
+              Buffer.clear p;
+              d.consumed <- 0
+            end;
+            Ok (Some body)
+          end)
 
 (* --- result payloads -------------------------------------------------------- *)
 

@@ -139,13 +139,15 @@ let one_run ~run =
       let mix = [ ("probe", 5); ("solve", 1); ("warm", 2); ("stats", 1) ] in
       let cfg =
         {
-          Loadgen.clients = 3;
+          Loadgen.conns = Some 3;
           requests = 12;
           mix;
           seed = Int64.of_int (1000 + run);
+          rate = None;
           deadline_ms = None;
           verify = true;
           shutdown = false;
+          prewarm = false;
         }
       in
       (match Loadgen.run ~addr cfg with

@@ -190,13 +190,21 @@ let test_framing_incremental () =
   (* all three in one feed *)
   let dec = Protocol.decoder () in
   feed_string dec wire;
-  let rec drain acc =
+  let rec drain dec acc =
     match Protocol.next_frame dec with
-    | Ok (Some b) -> drain (b :: acc)
+    | Ok (Some b) -> drain dec (b :: acc)
     | Ok None -> List.rev acc
     | Error msg -> Alcotest.failf "framing error: %s" msg
   in
-  Alcotest.(check (list string)) "single feed" bodies (drain [])
+  Alcotest.(check (list string)) "single feed" bodies (drain dec []);
+  (* two whole frames and half the third in one feed: the partial frame
+     left behind must survive the drain and complete on the next feed *)
+  let dec = Protocol.decoder () in
+  let cut = String.length wire - 500 in
+  feed_string dec (String.sub wire 0 cut);
+  let first = drain dec [] in
+  feed_string dec (String.sub wire cut (String.length wire - cut));
+  Alcotest.(check (list string)) "partial frame carried over" bodies (first @ drain dec [])
 
 let test_framing_rejects () =
   let bad s =
@@ -274,7 +282,8 @@ let test_parse_mix () =
 (* --- end-to-end server ------------------------------------------------------- *)
 
 (* Run the select loop on its own domain against a Unix-domain socket,
-   drive it from this one, and join on shutdown.  One batch of frames
+   drive it from this one (over [c], or new connections to [addr]), and
+   join on shutdown.  One batch of frames
    written in a single write exercises batching, the bounded queue
    (depth 1 -> overloaded), and the deadline path (deadline_ms = 0
    expires deterministically at dispatch). *)
@@ -291,15 +300,16 @@ let with_server ?queue_depth f =
     (try Unix.rmdir dir with Unix.Unix_error _ -> ())
   in
   Fun.protect ~finally (fun () ->
+      let addr = Unix.ADDR_UNIX path in
       let c =
-        match Wire.connect (Unix.ADDR_UNIX path) with
+        match Wire.connect addr with
         | Ok c -> c
         | Error msg -> Alcotest.fail msg
       in
       Fun.protect
         ~finally:(fun () -> Wire.close c)
         (fun () ->
-          f c;
+          f addr c;
           Domain.join server))
 
 let send_raw c s = Alcotest.(check bool) "frames written" true (Wire.write c s)
@@ -319,7 +329,7 @@ let body_of id replies =
 
 let test_server_end_to_end () =
   let answered =
-    with_server (fun c ->
+    with_server (fun _ c ->
         let q = Protocol.Probe { problem = "DegreeParity"; size = 16; seed = 5L; origin = 2 } in
         Wire.send c { Protocol.id = 1; deadline_ms = None; query = q };
         let direct =
@@ -353,7 +363,7 @@ let test_server_end_to_end () =
 
 let test_server_sheds_load () =
   let answered =
-    with_server ~queue_depth:1 (fun c ->
+    with_server ~queue_depth:1 (fun _ c ->
         let q = Protocol.Stats in
         let burst =
           String.concat ""
@@ -382,6 +392,47 @@ let test_server_sheds_load () =
   in
   Alcotest.(check int) "answered count" 4 answered
 
+(* Both arrival policies of the one loop against an in-process server:
+   verified, every request answered, then deadline 0 on every request. *)
+let test_loadgen_loop () =
+  let requests = 16 in
+  let run addr ~conns ~rate ~prewarm ~deadline_ms =
+    let cfg =
+      {
+        Loadgen.conns;
+        requests;
+        mix = Loadgen.default_mix;
+        seed = 5L;
+        rate;
+        deadline_ms;
+        verify = true;
+        shutdown = false;
+        prewarm;
+      }
+    in
+    match Loadgen.run ~addr cfg with
+    | Ok s ->
+        Alcotest.(check int) "requests" requests s.Loadgen.s_requests;
+        Alcotest.(check int) "mismatches" 0 s.Loadgen.s_mismatches;
+        s
+    | Error msg -> Alcotest.failf "loadgen: %s" msg
+  in
+  let modes = [ (Some 3, None, false); (None, Some 2000., true) ] in
+  ignore
+    (with_server (fun addr c ->
+         List.iter
+           (fun (conns, rate, prewarm) ->
+             let s = run addr ~conns ~rate ~prewarm ~deadline_ms:None in
+             Alcotest.(check int) "all ok" requests s.Loadgen.s_ok;
+             let s = run addr ~conns ~rate ~prewarm ~deadline_ms:(Some 0) in
+             Alcotest.(check int) "no ok under deadline 0" 0 s.Loadgen.s_ok;
+             Alcotest.(check int) "all deadline_exceeded" requests
+               (Loadgen.error_count s Protocol.Deadline_exceeded))
+           modes;
+         Wire.send c { Protocol.id = 1; deadline_ms = None; query = Protocol.Shutdown };
+         ignore (read_replies c 1 : Protocol.reply list))
+      : int)
+
 let suites =
   [
     ( "serve:lru",
@@ -404,7 +455,10 @@ let suites =
         Alcotest.test_case "session cache bounded" `Quick test_handler_cache_bounded;
       ] );
     ( "serve:loadgen",
-      [ Alcotest.test_case "mix parser" `Quick test_parse_mix ] );
+      [
+        Alcotest.test_case "mix parser" `Quick test_parse_mix;
+        Alcotest.test_case "closed and rate loops in process" `Quick test_loadgen_loop;
+      ] );
     ( "serve:server",
       [
         Alcotest.test_case "end-to-end over a socket" `Quick test_server_end_to_end;
