@@ -1,21 +1,17 @@
 (* Strict JSON syntax checker (RFC 8259 grammar, stdlib only — the
    emitters live in lib/obs, so CI needs an independent parser to catch
-   malformed emissions).  Usage: json_check [--jsonl|--bench] FILE.
+   malformed emissions).  Usage: json_check [--jsonl|--bench|--synth] FILE.
    Exits 0 iff the file is exactly one well-formed JSON value plus
    optional trailing whitespace — or, with --jsonl (the probe-transcript
    format of Vc_obs.Trace), one well-formed value per non-empty line;
    otherwise prints the position of the first error and exits 1.
 
-   --bench additionally validates the shape of a bench report's [snap]
-   section (the snapshot-load-vs-cold-build rows: a non-empty array of
-   rows each carrying name/build_ns/load_ns/bytes/speedup/ok with the
-   right types, every row's gate passed), its [rewarm] section, its
-   [synth] section (the SAT-synthesis cost rows: fully populated, with
-   at least one SAT and one UNSAT verdict), and its [families] section
-   (the graph-family measurement ladders: every fitted class agrees,
-   every point well-shaped, and Question 7.3's sinkless-orientation
-   rungs present).  The parser builds a minimal
-   value tree for this; the syntax-only modes discard it.
+   --bench additionally validates a bench report against its declared
+   shape (Bench_schema.document): every section and row carries exactly
+   its declared members with their declared types, no section declared
+   non-empty is empty, every gate member reads true (the timed comparisons' [ok],
+   the reports' [all_agree] and [agrees]), and the schema's witnesses
+   are present (a SAT and an UNSAT synth row, the SO: family rungs).
 
    --synth validates a `volcomp synth --json` verdict table: a non-empty
    [verdicts] array whose rows carry [certified] (null or a boolean) and
@@ -24,8 +20,8 @@
 
 exception Bad of int * string
 
-(* Just enough structure for the --bench shape checks; numbers need no
-   value, strings keep their raw (unescaped) contents. *)
+(* Just enough structure for the --bench and --synth checks; numbers
+   need no value, strings keep their raw (unescaped) contents. *)
 type v =
   | Vnull
   | Vbool of bool
@@ -213,150 +209,67 @@ let bench_fail path fmt =
       exit 1)
     fmt
 
-(* The snap section carries the snapshot-load-vs-cold-build gate rows;
-   each must be fully populated and must have passed its gate. *)
-let check_snap_section path doc =
-  let rows =
-    match member "snap" doc with
-    | Some (Varr (_ :: _ as rows)) -> rows
-    | Some (Varr []) -> bench_fail path "snap section is empty"
-    | Some _ -> bench_fail path "snap section is not an array"
-    | None -> bench_fail path "no snap section"
-  in
-  List.iteri
-    (fun i row ->
-      let want key = function
-        | Some got -> got
-        | None -> bench_fail path "snap row %d lacks %s" i key
-      in
-      (match want "name" (member "name" row) with
-      | Vstr _ -> ()
-      | _ -> bench_fail path "snap row %d: name is not a string" i);
-      List.iter
-        (fun key ->
-          match want key (member key row) with
-          | Vnum -> ()
-          | _ -> bench_fail path "snap row %d: %s is not a number" i key)
-        [ "build_ns"; "load_ns"; "bytes"; "speedup" ];
-      match want "ok" (member "ok" row) with
-      | Vbool true -> ()
-      | Vbool false -> bench_fail path "snap row %d failed its speedup gate" i
-      | _ -> bench_fail path "snap row %d: ok is not a boolean" i)
-    rows;
-  List.length rows
+module Schema = Bench_schema
 
-(* The rewarm section is the serving-layer build-vs-snapshot comparison;
-   report-only (no gate flag) but it must be fully populated. *)
-let check_rewarm_section path doc =
-  let row =
-    match member "rewarm" doc with
-    | Some (Vobj _ as row) -> row
-    | Some _ -> bench_fail path "rewarm section is not an object"
-    | None -> bench_fail path "no rewarm section"
-  in
-  (match member "problem" row with
-  | Some (Vstr _) -> ()
-  | _ -> bench_fail path "rewarm: problem is not a string");
+let rec describe : Schema.ty -> string = function
+  | Bool -> "a boolean"
+  | Num -> "a number"
+  | Str -> "a string"
+  | Any -> "a value"
+  | Opt t -> describe t ^ " or null"
+  | List _ | Rows _ -> "an array"
+  | Tuple ts -> Printf.sprintf "an array of %d" (List.length ts)
+  | Obj _ -> "an object"
+
+(* Validates [v] against [ty]; [at] locates it for the error message. *)
+let rec check_shape path at (ty : Schema.ty) v =
+  let bad fmt = bench_fail path ("%s " ^^ fmt) at in
+  match (ty, v) with
+  | Any, _ | Bool, Vbool _ | Num, Vnum | Str, Vstr _ | Opt _, Vnull -> ()
+  | Opt t, v -> check_shape path at t v
+  | Rows _, Varr [] -> bad "is empty"
+  | (List t | Rows t), Varr vs ->
+      List.iteri (fun i v -> check_shape path (Printf.sprintf "%s[%d]" at i) t v) vs
+  | Tuple ts, Varr vs when List.length ts = List.length vs -> List.iter2 (check_shape path at) ts vs
+  | Obj o, Vobj ms ->
+      List.iter
+        (fun (key, t) ->
+          match List.assoc_opt key ms with
+          | Some v -> check_shape path (at ^ "." ^ key) t v
+          | None -> bad "lacks %s" key)
+        o.members;
+      List.iter
+        (fun (key, _) ->
+          if not (List.mem_assoc key o.members) then bad "has undeclared member %s" key)
+        ms;
+      Option.iter
+        (fun key ->
+          if List.assoc_opt key ms <> Some (Vbool true) then
+            bad "failed its gate (%s is not true)" key)
+        o.gate
+  | _ -> bad "is not %s" (describe ty)
+
+(* Every value reached from [v] along member names, crossing arrays. *)
+let rec values_at keys v =
+  match (keys, v) with
+  | [], v -> [ v ]
+  | _, Varr vs -> List.concat_map (values_at keys) vs
+  | key :: rest, Vobj ms -> (
+      match List.assoc_opt key ms with Some v -> values_at rest v | None -> [])
+  | _ -> []
+
+let check_bench path doc =
+  check_shape path "document" (Obj Schema.document) doc;
   List.iter
-    (fun key ->
-      match member key row with
-      | Some Vnum -> ()
-      | _ -> bench_fail path "rewarm: %s is not a number" key)
-    [ "size"; "rebuild_ns"; "snapshot_ns"; "speedup" ]
-
-(* The synth section carries the SAT-synthesis cost rows (--synth);
-   report-only, but every row must be fully populated and the verdict
-   pattern must be coherent: at least one SAT and one UNSAT row. *)
-let check_synth_section path doc =
-  let rows =
-    match member "synth" doc with
-    | Some (Varr (_ :: _ as rows)) -> rows
-    | Some (Varr []) -> bench_fail path "synth section is empty"
-    | Some _ -> bench_fail path "synth section is not an array"
-    | None -> bench_fail path "no synth section"
-  in
-  let sats = ref 0 and unsats = ref 0 in
-  List.iteri
-    (fun i row ->
-      (match member "problem" row with
-      | Some (Vstr _) -> ()
-      | _ -> bench_fail path "synth row %d: problem is not a string" i);
-      List.iter
-        (fun key ->
-          match member key row with
-          | Some Vnum -> ()
-          | _ -> bench_fail path "synth row %d: %s is not a number" i key)
-        [ "volume"; "cegis"; "conflicts"; "propagations"; "vars"; "clauses"; "wall_s" ];
-      match member "sat" row with
-      | Some (Vbool true) -> incr sats
-      | Some (Vbool false) -> incr unsats
-      | _ -> bench_fail path "synth row %d: sat is not a boolean" i)
-    rows;
-  if !sats = 0 then bench_fail path "synth section has no SAT row";
-  if !unsats = 0 then bench_fail path "synth section has no UNSAT row";
-  List.length rows
-
-(* The families section carries the graph-family measurement ladders:
-   every report must have all_agree true, every measurement a fitted
-   class that agrees with the paper's claim and a non-empty point list,
-   and Question 7.3's sinkless-orientation ("SO:") rungs must appear. *)
-let check_families_section path doc =
-  let reports =
-    match member "families" doc with
-    | Some (Varr (_ :: _ as rs)) -> rs
-    | Some (Varr []) -> bench_fail path "families section is empty"
-    | Some _ -> bench_fail path "families section is not an array"
-    | None -> bench_fail path "no families section"
-  in
-  let so = ref 0 in
-  List.iteri
-    (fun i report ->
-      (match member "title" report with
-      | Some (Vstr _) -> ()
-      | _ -> bench_fail path "families report %d: title is not a string" i);
-      (match member "all_agree" report with
-      | Some (Vbool true) -> ()
-      | Some (Vbool false) ->
-          bench_fail path "families report %d has a fitted-class mismatch" i
-      | _ -> bench_fail path "families report %d: all_agree is not a boolean" i);
-      let ms =
-        match member "measurements" report with
-        | Some (Varr (_ :: _ as ms)) -> ms
-        | _ -> bench_fail path "families report %d: measurements missing or empty" i
+    (fun (w : Schema.witness) ->
+      let hit = function
+        | Vbool b -> w.value = `Bool b
+        | Vstr s -> (
+            match w.value with `Prefix p -> String.starts_with ~prefix:p s | `Bool _ -> false)
+        | _ -> false
       in
-      List.iteri
-        (fun j m ->
-          (match member "quantity" m with
-          | Some (Vstr q) ->
-              if String.length q >= 3 && String.sub q 0 3 = "SO:" then incr so
-          | _ ->
-              bench_fail path "families report %d measurement %d: quantity is not a string" i j);
-          List.iter
-            (fun key ->
-              match member key m with
-              | Some (Vstr _) -> ()
-              | _ ->
-                  bench_fail path "families report %d measurement %d: %s is not a string" i j
-                    key)
-            [ "paper_claim"; "fitted" ];
-          (match member "agrees" m with
-          | Some (Vbool true) -> ()
-          | Some (Vbool false) ->
-              bench_fail path "families report %d measurement %d disagrees with the paper" i j
-          | _ ->
-              bench_fail path "families report %d measurement %d: agrees is not a boolean" i j);
-          match member "points" m with
-          | Some (Varr (_ :: _ as pts)) ->
-              List.iter
-                (function
-                  | Varr [ Vnum; Vnum ] -> ()
-                  | _ -> bench_fail path "families report %d measurement %d: malformed point" i j)
-                pts
-          | _ -> bench_fail path "families report %d measurement %d: points missing or empty" i j)
-        ms)
-    reports;
-  if !so = 0 then bench_fail path "families section lacks sinkless-orientation (SO:) rungs";
-  List.length reports
+      if not (List.exists hit (values_at w.path doc)) then bench_fail path "lacks %s" w.what)
+    Schema.witnesses
 
 let check_synth_verdicts path doc =
   let rows =
@@ -411,14 +324,9 @@ let () =
     match check_value src with
     | doc ->
         if mode = `Bench then begin
-          let rows = check_snap_section path doc in
-          check_rewarm_section path doc;
-          let synth_rows = check_synth_section path doc in
-          let family_reports = check_families_section path doc in
-          Printf.printf
-            "%s: well-formed bench report (%d bytes, %d snap row(s), %d synth row(s), %d \
-             family report(s) ok)\n"
-            path (String.length src) rows synth_rows family_reports
+          check_bench path doc;
+          Printf.printf "%s: well-formed bench report (%d bytes, every section as declared)\n" path
+            (String.length src)
         end
         else if mode = `Synth then
           Printf.printf "%s: well-formed synth verdict table (%d verdict(s) ok)\n" path

@@ -1,40 +1,37 @@
-(* Benchmark harness.
+(* Benchmark harness: reproduces the paper's tables and figures and
+   times the cost claims the ladders rest on.  Each section below is one
+   member of the --json document, declared in Bench_schema:
 
-   Two layers, as promised in DESIGN.md:
+   - reports, families: the reproduction experiments
+     (Vc_measure.Experiments), one report per paper table/figure, with
+     the fitted growth class of every measured curve against the
+     paper's claim;
+   - wallclock: Bechamel wall-clock time of one solver run per paper
+     artifact;
+   - micro, ir_micro, snap, rewarm, obs_overhead, speedup: timed
+     two-sided comparisons (lazy vs eager world, batched IR vs closure,
+     snapshot load vs cold build, serving-layer re-warm from snapshot vs
+     rebuild, metrics disabled vs baseline, sequential vs parallel),
+     most of them gated;
+   - serve, saturation, synth: report-only serving-layer and
+     SAT-synthesis cost rows;
+   - metrics: the Vc_obs counters of the run.
 
-   1. the reproduction experiments (vc_measure.Experiments): one report
-      per paper table/figure, printing measured cost curves and their
-      fitted growth classes against the paper's Θ claims;
-
-   2. Bechamel wall-clock microbenchmarks: one Test.make per paper
-      artifact, timing a representative solver execution;
-
-   3. lazy-vs-eager world microbenchmarks (`world-session/*`,
-      `probe-hot-path/*`): the before/after evidence that a probe run on
-      a lazy world costs Θ(ball), not Θ(n);
-
-   4. batched-IR microbenchmarks (`batched-ir/*`): per-origin throughput
-      of Vc_ir.Exec.run_batch against the per-origin closure path, gated
-      at >= 10x on the probe-bound rows.
-
-   `dune exec bench/main.exe` runs all three; pass `--quick` (or set
-   VOLCOMP_QUICK=1) for the shortened ladders, `--deep` to extend each
-   ladder past the standard profile, `--no-wallclock` to skip the
-   Bechamel pass, `--micro` to run only layer 3 (the bench-smoke mode),
-   `--family SUBSTR` to restrict the report pass to the graph-family
-   ladders whose title contains SUBSTR (case-insensitive),
-   `--metrics` to collect and print the Vc_obs counters for the whole
-   run, `-j N` (or VOLCOMP_JOBS) to size the domain pool, and
-   `--json PATH` to also record everything machine-readably (including
-   a sequential-vs-parallel speedup entry with the detected core count,
-   the serving-layer rows, the instrumentation-overhead row and a
-   metrics snapshot).  Exits non-zero when any report has a [MISMATCH]
-   fitted class, a world-session microbenchmark falls below a 10x
-   lazy-vs-eager speedup, the parallel speedup entry loses to the
-   sequential run on a multi-core box (reported but not gated on 1
-   core), or the metrics-disabled hot path exceeds its 5% overhead
-   gate, so CI can gate on the reproduction, the cost model and the
-   observability layer at once. *)
+   `dune exec bench/main.exe` runs the reports and every timed section
+   but saturation and synth.  Flags: `--quick` (or VOLCOMP_QUICK=1) for
+   the shortened ladders, `--deep` to extend each ladder past the
+   standard profile, `--no-wallclock` to skip the Bechamel pass,
+   `--micro` for the timed sections plus the quick family ladders only
+   (the bench-smoke mode), `--synth` for the synth rows, `--serve-exe
+   EXE` for the saturation ramp against EXE's sharded tier, `--family
+   SUBSTR` to run only the graph-family ladders whose title contains
+   SUBSTR (case-insensitive), `--metrics` to collect and print the
+   Vc_obs counters for the whole run, `-j N` (or VOLCOMP_JOBS) to size
+   the domain pool, and `--json PATH` to also write the document (the
+   speedup section is measured only then).  Exits 1, after one FAIL line
+   per verdict, when any report has a [MISMATCH] fitted class or any
+   gated row misses its bar; exits 2 on a bad argument or a --family
+   filter that matches no ladder. *)
 
 open Bechamel
 
@@ -59,22 +56,153 @@ module Experiments = Vc_measure.Experiments
 module Runner = Vc_measure.Runner
 module Fit = Vc_measure.Fit
 module Pool = Vc_exec.Pool
-
-let title_contains hay needle =
-  let hay = String.lowercase_ascii hay and needle = String.lowercase_ascii needle in
-  let rec go i =
-    i + String.length needle <= String.length hay
-    && (String.sub hay i (String.length needle) = needle || go (i + 1))
-  in
-  go 0
 module Ir_exec = Vc_ir.Exec
 module Ir_lib = Vc_ir.Library
 module Json = Vc_obs.Json
 module Metrics = Vc_obs.Metrics
+module Schema = Bench_schema
 
 let run_solver ~world ?randomness ~origin (solver : (_, _) Lcl.solver) () =
   let r = Probe.run ~world ?randomness ~origin solver.Lcl.solve in
   assert (not r.Probe.aborted)
+
+(* --- rows: one type, printer, encoder and gate fold for every section ------ *)
+
+type gate = { bar : float; at_most : bool }
+
+(* A section row: its name member, the members after it in schema
+   order, and, in a timed comparison, the compared statistic and its
+   gate (None: reported, not enforced). *)
+type row = { name : string; fields : Json.t list; stat : float option; gate : gate option }
+
+type section = { title : string; obj : Schema.obj; rows : row list }
+
+let plain name fields = { name; fields; stat = None; gate = None }
+let at_least bar = Some { bar; at_most = false }
+
+let passes r =
+  match (r.gate, r.stat) with
+  | Some g, Some s -> if g.at_most then s <= g.bar else s >= g.bar
+  | _ -> true
+
+let opt_float = function Some v -> Json.Float v | None -> Json.Null
+let encode (o : Schema.obj) values = Json.Obj (List.combine (Schema.names o) values)
+
+let row_values o r =
+  (Json.String r.name :: r.fields)
+  @
+  if Schema.gated o then
+    [
+      opt_float r.stat;
+      opt_float (Option.map (fun g -> g.bar) r.gate);
+      Json.Bool (r.gate <> None);
+      Json.Bool (passes r);
+    ]
+  else []
+
+let rows_json s = Json.List (List.map (fun r -> encode s.obj (row_values s.obj r)) s.rows)
+let row_json s = encode s.obj (row_values s.obj (List.hd s.rows))
+
+let pp_value ppf = function
+  | Json.Float f when Float.abs f >= 100. -> Fmt.pf ppf "%.0f" f
+  | Json.Float f -> Fmt.pf ppf "%.4g" f
+  | Json.Int i -> Fmt.int ppf i
+  | Json.Bool b -> Fmt.bool ppf b
+  | Json.String s -> Fmt.string ppf s
+  | _ -> Fmt.string ppf "-"
+
+(* Prints a section as it completes: each row's name, its members up to
+   the compared statistic, and its gate verdict. *)
+let show title obj rows =
+  Fmt.pr "@.== %s ==@." title;
+  let gated = Schema.gated obj in
+  List.iter
+    (fun r ->
+      let members = List.tl (List.combine (Schema.names obj) (row_values obj r)) in
+      let shown = List.length r.fields + if gated then 1 else 0 in
+      Fmt.pr "  %-38s" r.name;
+      List.iteri (fun i (k, v) -> if i < shown then Fmt.pr "  %s %a" k pp_value v) members;
+      if gated then
+        Fmt.pr "  [%s]"
+          (match r.gate with None -> "not gated" | Some _ -> if passes r then "ok" else "FAIL");
+      Fmt.pr "@.")
+    rows;
+  { title; obj; rows }
+
+(* Every failed verdict of the run, one line each: the gated rows that
+   miss their bar and the reports with a fitted class outside the
+   paper's claim.  Drives both the FAIL lines and the exit code. *)
+let failures sections reports =
+  List.concat_map
+    (fun s ->
+      List.filter_map
+        (fun r ->
+          match (r.gate, r.stat) with
+          | Some g, Some v when not (passes r) ->
+              Some
+                (Fmt.str "%s: %s reads %.3g, bar %s %g" s.title r.name v
+                   (if g.at_most then "<=" else ">=")
+                   g.bar)
+          | _ -> None)
+        s.rows)
+    sections
+  @ List.filter_map
+      (fun r ->
+        if Experiments.all_agree r then None
+        else Some (Fmt.str "%s: a fitted class is outside the paper's claim" r.Experiments.title))
+      reports
+
+(* --- timing ----------------------------------------------------------------- *)
+
+(* One adaptive window: after one warm-up call, grow the repetition
+   count geometrically until a batch takes >= 50ms, then report ns per
+   repetition.  Bechamel would be overkill here — these rows only need
+   enough resolution to witness an order-of-magnitude gap. *)
+let time_ns f =
+  f ();
+  let rec go reps =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      f ()
+    done;
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt >= 0.05 then dt *. 1e9 /. float_of_int reps else go (reps * 4)
+  in
+  go 1
+
+let window f () = time_ns f
+
+(* One call, in ns: for a side that cannot repeat within a window. *)
+let once f () =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  (Unix.gettimeofday () -. t0) *. 1e9
+
+(* [rounds] samples of each side of a comparison, in alternating order:
+   even rounds time [a] first, odd rounds [b], so neither side always
+   leads and both sample the same quiet stretches of a busy host. *)
+let sample ~rounds a b =
+  let xs = Array.make rounds 0.0 and ys = Array.make rounds 0.0 in
+  for i = 0 to rounds - 1 do
+    if i mod 2 = 0 then begin
+      xs.(i) <- a ();
+      ys.(i) <- b ()
+    end
+    else begin
+      ys.(i) <- b ();
+      xs.(i) <- a ()
+    end
+  done;
+  (xs, ys)
+
+let best = Array.fold_left Float.min infinity
+
+(* The mean of the middle two for an even count. *)
+let median xs =
+  let a = Array.copy xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
 (* One wall-clock microbenchmark per paper artifact. *)
 let wallclock_tests () =
@@ -183,98 +311,62 @@ let run_wallclock () =
         (name, ns) :: acc)
       results []
   in
-  let rows = List.sort compare rows in
-  Fmt.pr "@.== Wall-clock microbenchmarks (one per paper artifact) ==@.";
-  List.iter (fun (name, ns) -> Fmt.pr "  %-40s %12.0f ns/run@." name ns) rows;
-  rows
+  List.map (fun (name, ns) -> plain name [ Json.Float ns ]) (List.sort compare rows)
+
 
 (* --- sequential vs parallel speedup --------------------------------------- *)
 
-type speedup = {
-  workload : string;
-  sp_domains : int;
-  sp_cores : int;  (* detected cores: the gate is meaningless on 1 *)
-  seq_seconds : float;
-  par_seconds : float;
-  speedup : float;
-}
-
-(* A parallel run must not lose to the sequential one — but only where
-   parallelism is physically possible.  On a 1-core box (CI containers)
-   the criterion is reported and skipped, not gated. *)
-let speedup_gated s = s.sp_cores >= 2 && s.sp_domains >= 2
-let speedup_ok s = (not (speedup_gated s)) || s.speedup >= 1.0
-
 (* Full-graph solve_and_check: n independent probe runs, each paying a
-   session BFS — the embarrassingly parallel hot loop of every report. *)
+   session BFS — the embarrassingly parallel hot loop of every report.
+   One single-shot sample per side.  A parallel run must not lose to the
+   sequential one, but only where parallelism is physically possible:
+   on a 1-core box (CI containers) the row is reported, not gated. *)
 let measure_speedup ~pool ~quick =
   let depth = if quick then 10 else 12 in
   let inst = LC.hard_distance_instance ~depth ~leaf_color:TL.Blue in
   let world = LC.world inst in
-  let solve pool =
-    Runner.solve_and_check ~world ~problem:LC.problem ~graph:inst.LC.graph
-      ~input:(LC.input inst) ~solver:LC.solve_distance ?pool ()
+  let solve pool cell () =
+    cell :=
+      Some
+        (Runner.solve_and_check ~world ~problem:LC.problem ~graph:inst.LC.graph
+           ~input:(LC.input inst) ~solver:LC.solve_distance ?pool ())
   in
-  let time pool =
-    let t0 = Unix.gettimeofday () in
-    let stats, valid = solve pool in
-    let dt = Unix.gettimeofday () -. t0 in
-    (dt, stats, valid)
-  in
-  let seq_seconds, seq_stats, seq_valid = time None in
-  let par_seconds, par_stats, par_valid = time pool in
-  if not (seq_valid && par_valid && seq_stats = par_stats) then
-    failwith "speedup workload: parallel run diverged from sequential run";
-  let sp_domains = match pool with Some p -> Pool.domains p | None -> 1 in
+  let seq = ref None and par = ref None in
+  let s, p = sample ~rounds:1 (once (solve None seq)) (once (solve pool par)) in
+  (match (!seq, !par) with
+  | Some (seq_stats, true), Some (par_stats, true) when seq_stats = par_stats -> ()
+  | _ -> failwith "speedup workload: parallel run diverged from sequential run");
+  let domains = match pool with Some p -> Pool.domains p | None -> 1 in
+  let cores = Domain.recommended_domain_count () in
   {
-    workload = Printf.sprintf "leafcoloring/solve_and_check/depth-%d" depth;
-    sp_domains;
-    sp_cores = Domain.recommended_domain_count ();
-    seq_seconds;
-    par_seconds;
-    speedup = seq_seconds /. par_seconds;
+    name = Printf.sprintf "leafcoloring/solve_and_check/depth-%d" depth;
+    fields =
+      [ Json.Int domains; Json.Int cores; Json.Float (best s /. 1e9); Json.Float (best p /. 1e9) ];
+    stat = Some (best s /. best p);
+    gate = (if cores >= 2 && domains >= 2 then at_least 1.0 else None);
   }
 
 (* --- lazy vs eager world microbenchmarks ----------------------------------- *)
 
-type micro_row = {
-  m_name : string;
-  m_lazy_ns : float;
-  m_eager_ns : float option;  (* None for rows without an eager twin *)
-  m_gate : bool;
-      (* enforce the >= 10x lazy-vs-eager bar; off for control rows whose
-         solver explores nearly the whole graph, where the two worlds
-         must merely tie *)
-}
-
-let micro_speedup r = Option.map (fun eager -> eager /. r.m_lazy_ns) r.m_eager_ns
-
-(* Adaptive wall-clock timing: after one warm-up call, grow the
-   repetition count geometrically until a batch takes >= 50ms, then
-   report ns per repetition.  Bechamel would be overkill here — these
-   rows only need enough resolution to witness an order-of-magnitude
-   gap. *)
-let time_ns f =
-  f ();
-  let rec go reps =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt >= 0.05 then dt *. 1e9 /. float_of_int reps else go (reps * 4)
-  in
-  go 1
-
 (* The before/after evidence for the lazy-world rewrite.  Each probe run
    opens a fresh session; on an eager world that costs a full-graph BFS,
-   on a lazy world only the ball the solver actually explores.  Sizes
-   are pinned at the largest quick-ladder rungs so the quick and full
-   profiles measure the same workloads. *)
+   on a lazy world only the ball the solver actually explores.  One
+   adaptive window per side, gated at eager/lazy >= 10x on the ball << n
+   rows.  Sizes are pinned at the largest quick-ladder rungs so the
+   quick and full profiles measure the same workloads. *)
 let run_micro () =
-  let probe ~world ?randomness ~origin (solver : (_, _) Lcl.solver) () =
-    let r = Probe.run ~world ?randomness ~origin solver.Lcl.solve in
-    assert (not r.Probe.aborted)
+  let lazy_vs_eager ~name ~gated ~lazy_world ~eager_world ~origin solver =
+    let l, e =
+      sample ~rounds:1
+        (window (run_solver ~world:lazy_world ~origin solver))
+        (window (run_solver ~world:eager_world ~origin solver))
+    in
+    {
+      name;
+      fields = [ Json.Float (best l); Json.Float (best e) ];
+      stat = Some (best e /. best l);
+      gate = (if gated then at_least 10.0 else None);
+    }
   in
   let cycle =
     (* The acceptance row: Cole–Vishkin touches a log*-sized ball of the
@@ -282,50 +374,39 @@ let run_micro () =
        setup itself. *)
     let n = 65536 in
     let g = Builder.cycle n in
-    let lazy_world = CC.world g in
-    let eager_world = World.of_graph_eager g ~input:(fun _ -> ()) in
-    {
-      m_name = Printf.sprintf "world-session/cycle-coloring-%d" n;
-      m_lazy_ns = time_ns (probe ~world:lazy_world ~origin:0 CC.solve);
-      m_eager_ns = Some (time_ns (probe ~world:eager_world ~origin:0 CC.solve));
-      m_gate = true;
-    }
+    lazy_vs_eager
+      ~name:(Printf.sprintf "world-session/cycle-coloring-%d" n)
+      ~gated:true ~lazy_world:(CC.world g)
+      ~eager_world:(World.of_graph_eager g ~input:(fun _ -> ()))
+      ~origin:0 CC.solve
   in
   let parity =
     (* Class A's DegreeParity (Figures 1–2): volume and distance are
        Θ(1), so the whole probe run is session setup — the purest
        measurement of per-session cost on a 2^16-node tree. *)
-    let depth = 15 in
-    let g = Builder.complete_binary_tree ~depth in
-    let lazy_world = Trivial.world g in
-    let eager_world = World.of_graph_eager g ~input:(fun _ -> ()) in
-    {
-      m_name = Printf.sprintf "world-session/degree-parity-%d" (Graph.n g);
-      m_lazy_ns = time_ns (probe ~world:lazy_world ~origin:0 Trivial.solve);
-      m_eager_ns = Some (time_ns (probe ~world:eager_world ~origin:0 Trivial.solve));
-      m_gate = true;
-    }
+    let g = Builder.complete_binary_tree ~depth:15 in
+    lazy_vs_eager
+      ~name:(Printf.sprintf "world-session/degree-parity-%d" (Graph.n g))
+      ~gated:true ~lazy_world:(Trivial.world g)
+      ~eager_world:(World.of_graph_eager g ~input:(fun _ -> ()))
+      ~origin:0 Trivial.solve
   in
   let leaf_control =
     (* Control: RWtoLeaf's distance solver explores nearly the whole
        hard instance, so laziness cannot win — it must only not lose. *)
     let inst = LC.hard_distance_instance ~depth:10 ~leaf_color:TL.Blue in
-    let lazy_world = LC.world inst in
-    let eager_world = World.of_graph_eager inst.LC.graph ~input:(LC.input inst) in
-    {
-      m_name = "world-session/leafcoloring-depth-10";
-      m_lazy_ns = time_ns (probe ~world:lazy_world ~origin:0 LC.solve_distance);
-      m_eager_ns = Some (time_ns (probe ~world:eager_world ~origin:0 LC.solve_distance));
-      m_gate = false;
-    }
+    lazy_vs_eager ~name:"world-session/leafcoloring-depth-10" ~gated:false
+      ~lazy_world:(LC.world inst)
+      ~eager_world:(World.of_graph_eager inst.LC.graph ~input:(LC.input inst))
+      ~origin:0 LC.solve_distance
   in
   let hot_path =
     let steps = 256 in
-    let g = Builder.cycle 65536 in
-    let world = CC.world g in
+    let world = CC.world (Builder.cycle 65536) in
     (* March [steps] hops around the cycle, never backtracking, so every
        query lands on a fresh node: a pure exercise of the query ->
-       admit -> incremental-BFS path with no solver logic on top. *)
+       admit -> incremental-BFS path with no solver logic on top.  No
+       eager twin, so no comparison. *)
     let walk ctx =
       let prev = ref (-1) in
       let at = ref (Probe.origin ctx) in
@@ -337,59 +418,31 @@ let run_micro () =
       done;
       !at
     in
-    {
-      m_name = Printf.sprintf "probe-hot-path/cycle-walk-%d" steps;
-      m_lazy_ns = time_ns (fun () -> ignore (Probe.run ~world ~origin:0 walk : Graph.node Probe.result));
-      m_eager_ns = None;
-      m_gate = false;
-    }
+    let ns =
+      time_ns (fun () -> ignore (Probe.run ~world ~origin:0 walk : Graph.node Probe.result))
+    in
+    plain (Printf.sprintf "probe-hot-path/cycle-walk-%d" steps) [ Json.Float ns; Json.Null ]
   in
   [ cycle; parity; leaf_control; hot_path ]
 
-let pp_micro rows =
-  Fmt.pr "@.== Lazy vs eager world microbenchmarks ==@.";
-  List.iter
-    (fun r ->
-      match (r.m_eager_ns, micro_speedup r) with
-      | Some eager, Some s ->
-          Fmt.pr "  %-38s lazy %10.0f ns/run   eager %12.0f ns/run   speedup %8.1fx%s@." r.m_name
-            r.m_lazy_ns eager s
-            (if r.m_gate then "" else "   (solver-bound control)")
-      | _ -> Fmt.pr "  %-38s lazy %10.0f ns/run@." r.m_name r.m_lazy_ns)
-    rows
-
-let micro_ok rows =
-  List.for_all
-    (fun r ->
-      if not r.m_gate then true
-      else match micro_speedup r with Some s -> s >= 10.0 | None -> true)
-    rows
-
 (* --- batched-IR vs closure microbenchmarks ---------------------------------- *)
-
-type ir_row = {
-  i_name : string;
-  i_batched_ns : float;  (* Vc_ir.Exec.run_batch, ns per origin *)
-  i_closure_ns : float;  (* one Probe.run per origin, ns per origin *)
-  i_gate : bool;
-      (* enforce the >= 10x batched-vs-closure bar; off for control rows
-         whose solver is ball-bound (the executor pays the same BFS the
-         closure does, so batching can only shave dispatch) *)
-}
-
-let ir_speedup r = r.i_closure_ns /. r.i_batched_ns
 
 (* The perf evidence for the IR port: on probe-bound problems — O(1) or
    O(log* n) queries per origin, so the closure path is dominated by
    per-origin session setup, closure dispatch and allocation — the
    allocation-free executor must clear 10x.  Both sides run the
-   registry-checked oracle pairs (oracle probe [ir] proves them result-identical),
-   so this is a pure same-answer throughput comparison: one
-   [run_batch_into] over a sink versus one [Probe.run] per origin. *)
+   registry-checked oracle pairs (oracle probe [ir] proves them
+   result-identical), so this is a pure same-answer throughput
+   comparison: one [run_batch_into] over a sink versus one [Probe.run]
+   per origin.  Min of [ir_rounds] windows per side: the min discards GC
+   pauses and scheduler interference.  (Min-of-3 timed one side after
+   the other read 7.3x-15.8x on one ~11x row.)  The ball-bound control
+   rows (the executor pays the same BFS the closure does) are not
+   gated. *)
 let ir_rounds = 7
 
 let run_ir_micro () =
-  let row ~name ~gate ~none spec ~graph ~input ~world ~(solver : (_, _) Lcl.solver) ~count =
+  let row ~name ~gated ~none spec ~graph ~input ~world ~(solver : (_, _) Lcl.solver) ~count =
     let origins = Array.of_list (Runner.sample_origins graph ~count ~seed:7L) in
     let snk = Ir_exec.sink ~none (Array.length origins) in
     let batched () = Ir_exec.run_batch_into spec ~graph ~input ~origins ~sink:snk in
@@ -399,24 +452,19 @@ let run_ir_micro () =
         origins
     in
     let k = float_of_int (Array.length origins) in
-    (* Min-of-[ir_rounds] per side, the sides interleaved in alternating
-       order: the min of repeated >= 50ms windows discards GC pauses and
-       scheduler interference, and interleaving lets both sides sample the
-       same quiet stretches of a busy host.  (Min-of-3 timed one side
-       after the other read 7.3x-15.8x on one ~11x row.) *)
-    let b = ref infinity and c = ref infinity in
-    let time_b () = b := Float.min !b (time_ns batched)
-    and time_c () = c := Float.min !c (time_ns closure) in
-    for i = 0 to ir_rounds - 1 do
-      if i mod 2 = 0 then (time_b (); time_c ()) else (time_c (); time_b ())
-    done;
-    { i_name = name; i_batched_ns = !b /. k; i_closure_ns = !c /. k; i_gate = gate }
+    let b, c = sample ~rounds:ir_rounds (window batched) (window closure) in
+    {
+      name;
+      fields = [ Json.Float (best b /. k); Json.Float (best c /. k) ];
+      stat = Some (best c /. best b);
+      gate = (if gated then at_least 10.0 else None);
+    }
   in
   let parity =
     let g = Builder.complete_binary_tree ~depth:15 in
     row
       ~name:(Printf.sprintf "batched-ir/degree-parity-%d" (Graph.n g))
-      ~gate:true ~none:Trivial.Even Ir_lib.degree_parity ~graph:g
+      ~gated:true ~none:Trivial.Even Ir_lib.degree_parity ~graph:g
       ~input:(fun _ -> ())
       ~world:(Trivial.world g) ~solver:Trivial.solve ~count:65535
   in
@@ -425,52 +473,25 @@ let run_ir_micro () =
     let g = Builder.cycle n in
     row
       ~name:(Printf.sprintf "batched-ir/cycle-coloring-%d" n)
-      ~gate:true ~none:0 (Ir_lib.cycle_coloring ~n) ~graph:g
+      ~gated:true ~none:0 (Ir_lib.cycle_coloring ~n) ~graph:g
       ~input:(fun _ -> ())
       ~world:(CC.world g) ~solver:CC.solve ~count:n
   in
   let status =
     let inst = LC.random_instance ~n:65535 ~seed:1L in
-    row ~name:"batched-ir/probe-tree-status-65535" ~gate:false ~none:TL.Internal
+    row ~name:"batched-ir/probe-tree-status-65535" ~gated:false ~none:TL.Internal
       Ir_lib.probe_tree_status ~graph:inst.LC.graph ~input:(LC.input inst)
       ~world:(LC.world inst) ~solver:Ir_lib.status_solver ~count:16384
   in
   let leaf_control =
     let inst = LC.random_instance ~n:2047 ~seed:1L in
-    row ~name:"batched-ir/leaf-coloring-2047" ~gate:false ~none:TL.Red Ir_lib.leaf_coloring
+    row ~name:"batched-ir/leaf-coloring-2047" ~gated:false ~none:TL.Red Ir_lib.leaf_coloring
       ~graph:inst.LC.graph ~input:(LC.input inst) ~world:(LC.world inst)
       ~solver:LC.solve_distance ~count:256
   in
   [ parity; cycle; status; leaf_control ]
 
-let pp_ir_micro rows =
-  Fmt.pr "@.== Batched-IR vs closure microbenchmarks ==@.";
-  List.iter
-    (fun r ->
-      Fmt.pr "  %-38s batched %8.0f ns/origin   closure %10.0f ns/origin   speedup %8.1fx%s@."
-        r.i_name r.i_batched_ns r.i_closure_ns (ir_speedup r)
-        (if r.i_gate then "" else "   (ball-bound control)"))
-    rows
-
-let ir_micro_ok rows = List.for_all (fun r -> (not r.i_gate) || ir_speedup r >= 10.0) rows
-
-let ir_micro_json rows =
-  Json.List
-    (List.map
-       (fun r ->
-         Json.Obj
-           [
-             ("name", Json.String r.i_name);
-             ("batched_ns", Json.Float r.i_batched_ns);
-             ("closure_ns", Json.Float r.i_closure_ns);
-             ("speedup", Json.Float (ir_speedup r));
-             ("gated", Json.Bool r.i_gate);
-           ])
-       rows)
-
 (* --- serving-layer microbenchmarks ------------------------------------------- *)
-
-type serve_row = { sv_name : string; sv_ns : float }
 
 (* Steady-state cost of one served request, without the socket: the
    warm-cache row is a cache hit plus one reference probe run plus the
@@ -489,95 +510,71 @@ let run_serve_micro () =
   | Ok _ -> ()
   | Error (_, msg) -> failwith ("serve micro warm-up: " ^ msg));
   let warm =
-    {
-      sv_name = Printf.sprintf "serve/probe-warm-cache/%s" problem;
-      sv_ns =
-        time_ns (fun () ->
-            match Vc_serve.Handler.handle handler probe_q with
-            | Ok _ -> ()
-            | Error _ -> assert false);
-    }
+    time_ns (fun () ->
+        match Vc_serve.Handler.handle handler probe_q with Ok _ -> () | Error _ -> assert false)
   in
   let req = { P.id = 1; deadline_ms = Some 1000; query = probe_q } in
   let codec =
-    {
-      sv_name = "serve/request-codec";
-      sv_ns =
-        time_ns (fun () ->
-            let wire = P.frame (Json.to_string (P.request_to_json req)) in
-            let dec = P.decoder () in
-            P.feed dec (Bytes.of_string wire) (String.length wire);
-            match P.next_frame dec with
-            | Ok (Some body) -> (
-                match Result.bind (Json.parse body) P.request_of_json with
-                | Ok _ -> ()
-                | Error _ -> assert false)
-            | _ -> assert false);
-    }
+    time_ns (fun () ->
+        let wire = P.frame (Json.to_string (P.request_to_json req)) in
+        let dec = P.decoder () in
+        P.feed dec (Bytes.of_string wire) (String.length wire);
+        match P.next_frame dec with
+        | Ok (Some body) -> (
+            match Result.bind (Json.parse body) P.request_of_json with
+            | Ok _ -> ()
+            | Error _ -> assert false)
+        | _ -> assert false)
   in
-  [ warm; codec ]
-
-let pp_serve rows =
-  Fmt.pr "@.== Serving-layer microbenchmarks ==@.";
-  List.iter (fun r -> Fmt.pr "  %-38s %10.0f ns/request@." r.sv_name r.sv_ns) rows
-
-let serve_json rows =
-  Json.List
-    (List.map
-       (fun r ->
-         Json.Obj [ ("name", Json.String r.sv_name); ("ns_per_request", Json.Float r.sv_ns) ])
-       rows)
+  [
+    plain (Printf.sprintf "serve/probe-warm-cache/%s" problem) [ Json.Float warm ];
+    plain "serve/request-codec" [ Json.Float codec ];
+  ]
 
 (* --- snapshot-load vs cold-build microbenchmarks ----------------------------- *)
 
-type snap_row = {
-  sn_name : string;
-  sn_build_ns : float;  (* cold Registry.make, no store: full instance build *)
-  sn_load_ns : float;  (* Registry.make against a warm store: one mmap load *)
-  sn_bytes : int;  (* on-disk snapshot size *)
-}
-
-let snap_gate = 10.0
-let snap_speedup r = r.sn_build_ns /. r.sn_load_ns
-let snap_ok rows = List.for_all (fun r -> snap_speedup r >= snap_gate) rows
+(* A fresh snapshot store in a temp directory, removed after [f]. *)
+let with_store f =
+  let module R = Vc_check.Registry in
+  let dir = Filename.temp_file "volcomp-snapbench" "" in
+  Sys.remove dir;
+  let store = R.store ~dir in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) (R.Store.files store);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () -> f store)
 
 (* The perf evidence for the snapshot tier: warming a session from the
    store must beat building the instance from scratch by >= 10x on the
    two largest ladder sizes of each benched problem.  Both paths go
-   through the same [Registry.make] entry point (oracle probe [snap] proves
-   them byte-identical), so this is a pure same-answer cost comparison:
-   graph construction + labelling versus one [Unix.map_file] plus a
-   header checksum — the load side is O(1) in the instance, which is
-   the whole point. *)
+   through the same [Registry.make] entry point (oracle probe [snap]
+   proves them byte-identical), so this is a pure same-answer cost
+   comparison: graph construction + labelling versus one [Unix.map_file]
+   plus a header checksum — the load side is O(1) in the instance, which
+   is the whole point.  Min of 3 windows per side. *)
 let run_snap_micro ~quick =
   let module R = Vc_check.Registry in
   let entry name = List.find (fun (e : R.entry) -> e.R.name = name) (R.all ()) in
   let row (e : R.entry) ~size =
-    let dir = Filename.temp_file "volcomp-snapbench" "" in
-    Sys.remove dir;
-    let store = R.store ~dir in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) (R.Store.files store);
-        try Unix.rmdir dir with Unix.Unix_error _ -> ())
-      (fun () ->
+    with_store (fun store ->
         let seed = 42L in
         (* publish once so the timed path below is a pure store hit *)
         ignore (e.R.acquire ~store ~size ~seed () : int);
         let bytes =
           List.fold_left (fun acc p -> acc + (Unix.stat p).Unix.st_size) 0 (R.Store.files store)
         in
-        let min3 f = Float.min (time_ns f) (Float.min (time_ns f) (time_ns f)) in
         let build () = ignore (e.R.make ~size ~seed () : R.trial) in
         let load () =
           let t = e.R.make ~store ~size ~seed () in
           assert (t.R.t_source = `Snapshot)
         in
+        let b, l = sample ~rounds:3 (window build) (window load) in
         {
-          sn_name = Printf.sprintf "snap/%s-%d" e.R.name size;
-          sn_build_ns = min3 build;
-          sn_load_ns = min3 load;
-          sn_bytes = bytes;
+          name = Printf.sprintf "snap/%s-%d" e.R.name size;
+          fields = [ Json.Float (best b); Json.Float (best l); Json.Int bytes ];
+          stat = Some (best b /. best l);
+          gate = at_least 10.0;
         })
   in
   (* the two largest sizes of each problem's bench ladder; --quick drops
@@ -589,38 +586,7 @@ let run_snap_micro ~quick =
   List.map (fun size -> row (entry "CycleColoring3") ~size) cycle_sizes
   @ List.map (fun size -> row (entry "LeafColoring") ~size) leaf_sizes
 
-let pp_snap rows =
-  Fmt.pr "@.== Snapshot-load vs cold-build microbenchmarks (gate %.0fx) ==@." snap_gate;
-  List.iter
-    (fun r ->
-      Fmt.pr "  %-38s build %11.0f ns   load %9.0f ns   %9d bytes   speedup %8.1fx   [%s]@."
-        r.sn_name r.sn_build_ns r.sn_load_ns r.sn_bytes (snap_speedup r)
-        (if snap_speedup r >= snap_gate then "ok" else "FAIL"))
-    rows
-
-let snap_json rows =
-  Json.List
-    (List.map
-       (fun r ->
-         Json.Obj
-           [
-             ("name", Json.String r.sn_name);
-             ("build_ns", Json.Float r.sn_build_ns);
-             ("load_ns", Json.Float r.sn_load_ns);
-             ("bytes", Json.Int r.sn_bytes);
-             ("speedup", Json.Float (snap_speedup r));
-             ("ok", Json.Bool (snap_speedup r >= snap_gate));
-           ])
-       rows)
-
 (* --- session re-warm through the serving layer -------------------------------- *)
-
-type rewarm_row = {
-  rw_problem : string;
-  rw_size : int;
-  rw_build_ns : float;  (* fresh handler, no store: the warm rebuilds *)
-  rw_snap_ns : float;  (* fresh handler over a warm store: snapshot load *)
-}
 
 (* What a respawned shard worker pays per warm-ledger entry: a fresh
    handler's first [Warm] of the session.  The same build-vs-load
@@ -634,141 +600,70 @@ type rewarm_row = {
 let run_rewarm_micro ~quick =
   let module R = Vc_check.Registry in
   let module Handler = Vc_serve.Handler in
-  let module Protocol = Vc_serve.Protocol in
   let problem = "CycleColoring3" in
   let size = if quick then 1 lsl 15 else 1 lsl 17 in
   let seed = 42L in
-  let dir = Filename.temp_file "volcomp-rewarmbench" "" in
-  Sys.remove dir;
-  let store = R.store ~dir in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) (R.Store.files store);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () ->
+  with_store (fun store ->
       let e = List.find (fun (e : R.entry) -> e.R.name = problem) (R.all ()) in
       ignore (e.R.acquire ~store ~size ~seed () : int);
-      let warm_once ?store () =
+      let warm ?store () =
         let h = Handler.create ?store () in
-        let t0 = Unix.gettimeofday () in
-        (match Handler.handle h (Protocol.Warm { problem; size; seed }) with
-        | Ok _ -> ()
-        | Error (_, msg) -> failwith ("rewarm micro: " ^ msg));
-        (Unix.gettimeofday () -. t0) *. 1e9
+        once
+          (fun () ->
+            match Handler.handle h (Vc_serve.Protocol.Warm { problem; size; seed }) with
+            | Ok _ -> ()
+            | Error (_, msg) -> failwith ("rewarm micro: " ^ msg))
+          ()
       in
-      let best f = List.fold_left (fun acc () -> Float.min acc (f ())) (f ()) [ (); (); (); () ] in
+      let r, s = sample ~rounds:5 (fun () -> warm ()) (fun () -> warm ~store ()) in
       {
-        rw_problem = problem;
-        rw_size = size;
-        rw_build_ns = best (fun () -> warm_once ());
-        rw_snap_ns = best (fun () -> warm_once ~store ());
+        name = problem;
+        fields = [ Json.Int size; Json.Float (best r); Json.Float (best s) ];
+        stat = Some (best r /. best s);
+        gate = None;
       })
 
-let pp_rewarm r =
-  Fmt.pr "@.== Session re-warm through the serving layer (report-only) ==@.";
-  Fmt.pr "  rewarm/%s-%d %26s %11.0f ns   snapshot %9.0f ns   speedup %8.1fx@." r.rw_problem
-    r.rw_size "rebuild" r.rw_build_ns r.rw_snap_ns (r.rw_build_ns /. r.rw_snap_ns)
-
-let rewarm_json r =
-  Json.Obj
-    [
-      ("problem", Json.String r.rw_problem);
-      ("size", Json.Int r.rw_size);
-      ("rebuild_ns", Json.Float r.rw_build_ns);
-      ("snapshot_ns", Json.Float r.rw_snap_ns);
-      ("speedup", Json.Float (r.rw_build_ns /. r.rw_snap_ns));
-    ]
-
 (* --- instrumentation-overhead gate ------------------------------------------ *)
-
-type obs_overhead = {
-  oo_workload : string;
-  oo_baseline_ns : float;  (** median over the pairs *)
-  oo_disabled_ns : float;  (** median over the pairs *)
-  oo_enabled_ns : float;
-  oo_ratio : float;  (** median of the per-pair disabled/baseline ratios *)
-}
-
-let obs_gate = 1.05
 
 (* An even count, so each order leads in half the pairs; single pair
    ratios spread +-30% on a shared host, and the median of nine crossed
    1.05 in several runs there. *)
 let obs_pairs = 20
 
-let obs_ok o = o.oo_ratio <= obs_gate
-
-(* The mean of the middle two for an even count. *)
-let median xs =
-  let a = Array.copy xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
 (* The metrics counters compile into every hot path, so a literally
    uninstrumented binary no longer exists to time against.  What the 5%
    gate asserts instead is that the *disabled* path is free: baseline and
    disabled time the identical machine code (collection off), so a gap
    above noise would mean the enabled-flag branch is not the whole
-   disabled-path cost.  The two sides are timed in back-to-back pairs
-   whose order alternates, and the gate reads the median of the per-pair
-   ratios: drift on a shared host moves both halves of a pair together,
-   and no side always runs first.  The enabled timing rides along for the
-   report and also populates the counters behind the JSON [metrics]
-   section. *)
+   disabled-path cost.  The gate reads the median of the per-pair
+   disabled/baseline ratios: drift on a shared host moves both halves of
+   a pair together.  The enabled timing (min of 3 windows) rides along
+   for the report and also populates the counters behind the JSON
+   [metrics] section. *)
 let measure_obs_overhead () =
   let n = 65536 in
-  let g = Builder.cycle n in
-  let world = CC.world g in
-  let workload () =
-    let r = Probe.run ~world ~origin:0 CC.solve.Lcl.solve in
-    assert (not r.Probe.aborted)
-  in
+  let world = CC.world (Builder.cycle n) in
+  let workload = run_solver ~world ~origin:0 CC.solve in
   let prev = Metrics.enabled () in
   Metrics.set_enabled false;
-  let baseline = Array.make obs_pairs 0.0 and disabled = Array.make obs_pairs 0.0 in
-  for i = 0 to obs_pairs - 1 do
-    if i mod 2 = 0 then begin
-      baseline.(i) <- time_ns workload;
-      disabled.(i) <- time_ns workload
-    end
-    else begin
-      disabled.(i) <- time_ns workload;
-      baseline.(i) <- time_ns workload
-    end
-  done;
+  let baseline, disabled = sample ~rounds:obs_pairs (window workload) (window workload) in
   Metrics.set_enabled true;
-  let enabled = Float.min (time_ns workload) (Float.min (time_ns workload) (time_ns workload)) in
+  let enabled = best (Array.init 3 (fun _ -> time_ns workload)) in
   Metrics.set_enabled prev;
   {
-    oo_workload = Printf.sprintf "world-session/cycle-coloring-%d" n;
-    oo_baseline_ns = median baseline;
-    oo_disabled_ns = median disabled;
-    oo_enabled_ns = enabled;
-    oo_ratio = median (Array.init obs_pairs (fun i -> disabled.(i) /. baseline.(i)));
+    name = Printf.sprintf "world-session/cycle-coloring-%d" n;
+    fields =
+      [
+        Json.Float (median baseline);
+        Json.Float (median disabled);
+        Json.Float enabled;
+        Json.Int obs_pairs;
+      ];
+    stat = Some (median (Array.map2 ( /. ) disabled baseline));
+    gate = Some { bar = 1.05; at_most = true };
   }
 
-let pp_obs o =
-  Fmt.pr "@.== Instrumentation overhead (metrics disabled must be within %.0f%%) ==@."
-    ((obs_gate -. 1.0) *. 100.0);
-  Fmt.pr
-    "  %-38s baseline %8.0f ns/run   disabled %8.0f ns/run   enabled %8.0f ns/run   ratio %.3f (median of %d pairs)   [%s]@."
-    o.oo_workload o.oo_baseline_ns o.oo_disabled_ns o.oo_enabled_ns o.oo_ratio obs_pairs
-    (if obs_ok o then "ok" else "FAIL")
-
 (* --- SAT-synthesis cost rows -------------------------------------------------- *)
-
-type synth_row = {
-  sy_problem : string;
-  sy_volume : int;
-  sy_sat : bool;
-  sy_cegis : int;
-  sy_conflicts : int;
-  sy_propagations : int;
-  sy_vars : int;
-  sy_clauses : int;
-  sy_wall_s : float;
-}
 
 (* Report-only: wall clock and solver effort for the cheap rungs of each
    problem's classification ladder — the SAT rung at the known-feasible
@@ -788,99 +683,19 @@ let run_synth_micro () =
           | Error msg -> failwith (Printf.sprintf "synth bench %s: %s" s.C.s_name msg)
           | Ok v ->
               let r = v.C.v_report in
-              {
-                sy_problem = s.C.s_name;
-                sy_volume = volume;
-                sy_sat = v.C.v_sat;
-                sy_cegis = r.E.cegis_iters;
-                sy_conflicts = r.E.sat_stats.Vc_synth.Sat.conflicts;
-                sy_propagations = r.E.sat_stats.Vc_synth.Sat.propagations;
-                sy_vars = r.E.n_vars;
-                sy_clauses = r.E.n_clauses;
-                sy_wall_s = r.E.wall_s;
-              })
+              plain s.C.s_name
+                [
+                  Json.Int volume;
+                  Json.Bool v.C.v_sat;
+                  Json.Int r.E.cegis_iters;
+                  Json.Int r.E.sat_stats.Vc_synth.Sat.conflicts;
+                  Json.Int r.E.sat_stats.Vc_synth.Sat.propagations;
+                  Json.Int r.E.n_vars;
+                  Json.Int r.E.n_clauses;
+                  Json.Float r.E.wall_s;
+                ])
         [ s.C.s_volume; s.C.s_unsat_volume ])
     (C.specs ())
-
-let pp_synth rows =
-  Fmt.pr "@.== SAT-synthesis cost (report-only; verdicts gated by @synth-smoke) ==@.";
-  List.iter
-    (fun r ->
-      Fmt.pr
-        "  %-16s vol<=%d  %-5s  cegis %2d  conflicts %8d  props %10d  vars %7d  clauses \
-         %8d  %7.3fs@."
-        r.sy_problem r.sy_volume
-        (if r.sy_sat then "SAT" else "UNSAT")
-        r.sy_cegis r.sy_conflicts r.sy_propagations r.sy_vars r.sy_clauses r.sy_wall_s)
-    rows
-
-let synth_json rows =
-  Json.List
-    (List.map
-       (fun r ->
-         Json.Obj
-           [
-             ("problem", Json.String r.sy_problem);
-             ("volume", Json.Int r.sy_volume);
-             ("sat", Json.Bool r.sy_sat);
-             ("cegis", Json.Int r.sy_cegis);
-             ("conflicts", Json.Int r.sy_conflicts);
-             ("propagations", Json.Int r.sy_propagations);
-             ("vars", Json.Int r.sy_vars);
-             ("clauses", Json.Int r.sy_clauses);
-             ("wall_s", Json.Float r.sy_wall_s);
-           ])
-       rows)
-
-(* --- machine-readable output (via the shared Vc_obs.Json encoder) ----------- *)
-
-let measurement_json m =
-  Json.Obj
-    [
-      ("quantity", Json.String m.Experiments.quantity);
-      ("paper_claim", Json.String m.Experiments.paper_claim);
-      ("fitted", Json.String (Fmt.str "%a" Fit.pp_model (Experiments.fitted m)));
-      ("agrees", Json.Bool (Experiments.agrees m));
-      ( "points",
-        Json.List
-          (List.map (fun (n, y) -> Json.List [ Json.Int n; Json.Float y ]) m.Experiments.points)
-      );
-    ]
-
-let report_json r =
-  Json.Obj
-    [
-      ("title", Json.String r.Experiments.title);
-      ("all_agree", Json.Bool (Experiments.all_agree r));
-      ("measurements", Json.List (List.map measurement_json r.Experiments.measurements));
-    ]
-
-let micro_json rows =
-  Json.List
-    (List.map
-       (fun r ->
-         let opt = function Some v -> Json.Float v | None -> Json.Null in
-         Json.Obj
-           [
-             ("name", Json.String r.m_name);
-             ("lazy_ns", Json.Float r.m_lazy_ns);
-             ("eager_ns", opt r.m_eager_ns);
-             ("speedup", opt (micro_speedup r));
-           ])
-       rows)
-
-let obs_json o =
-  Json.Obj
-    [
-      ("workload", Json.String o.oo_workload);
-      ("baseline_ns", Json.Float o.oo_baseline_ns);
-      ("disabled_ns", Json.Float o.oo_disabled_ns);
-      ("enabled_ns", Json.Float o.oo_enabled_ns);
-      ("ratio", Json.Float o.oo_ratio);
-      ("pairs", Json.Int obs_pairs);
-      ("gate", Json.Float obs_gate);
-      ("ok", Json.Bool (obs_ok o));
-    ]
 
 (* --- open-loop saturation of the sharded tier -------------------------------- *)
 
@@ -963,79 +778,40 @@ let pp_saturation s =
     s.sat_steps;
   Fmt.pr "  saturation throughput: %.1f rps@." s.sat_rps
 
-let saturation_json = function
-  | None -> Json.Null
-  | Some s ->
-      Json.Obj
-        [
-          ("workers", Json.Int s.sat_workers);
-          ("shed_gate", Json.Float sat_shed_gate);
-          ("saturation_rps", Json.Float s.sat_rps);
-          ( "steps",
-            Json.List
-              (List.map
-                 (fun st ->
-                   Json.Obj
-                     [
-                       ("rate_rps", Json.Float st.st_rate);
-                       ("achieved_rps", Json.Float st.st_achieved);
-                       ("shed", Json.Float st.st_shed);
-                     ])
-                 s.sat_steps) );
-        ]
+let saturation_json s =
+  encode Schema.saturation
+    [
+      Json.Int s.sat_workers;
+      Json.Float sat_shed_gate;
+      Json.Float s.sat_rps;
+      Json.List
+        (List.map
+           (fun st ->
+             encode Schema.step
+               [ Json.Float st.st_rate; Json.Float st.st_achieved; Json.Float st.st_shed ])
+           s.sat_steps);
+    ]
 
-let write_json ~path ~quick ~domains ~reports ~families ~wallclock ~speedup ~micro ~ir_micro
-    ~snap ~rewarm ~serve ~saturation ~obs ~synth =
-  let wallclock_json =
-    match wallclock with
-    | None -> Json.Null
-    | Some rows ->
-        Json.List
-          (List.map
-             (fun (name, ns) ->
-               Json.Obj [ ("name", Json.String name); ("ns_per_run", Json.Float ns) ])
-             rows)
-  in
-  let speedup_json =
-    match speedup with
-    | None -> Json.Null
-    | Some s ->
-        Json.Obj
-          [
-            ("workload", Json.String s.workload);
-            ("domains", Json.Int s.sp_domains);
-            ("cores", Json.Int s.sp_cores);
-            ("seq_seconds", Json.Float s.seq_seconds);
-            ("par_seconds", Json.Float s.par_seconds);
-            ("speedup", Json.Float s.speedup);
-            ("gated", Json.Bool (speedup_gated s));
-            ("ok", Json.Bool (speedup_ok s));
-          ]
-  in
-  let doc =
-    Json.Obj
+(* --- reports ------------------------------------------------------------------ *)
+
+let report_json r =
+  let measurement m =
+    encode Schema.measurement
       [
-        ("quick", Json.Bool quick);
-        ("domains", Json.Int domains);
-        ("reports", Json.List (List.map report_json reports));
-        ("families", Json.List (List.map report_json families));
-        ("wallclock", wallclock_json);
-        ("speedup", speedup_json);
-        ("micro", micro_json micro);
-        ("ir_micro", ir_micro_json ir_micro);
-        ("snap", snap_json snap);
-        ("rewarm", rewarm_json rewarm);
-        ("serve", serve_json serve);
-        ("saturation", saturation_json saturation);
-        ("synth", (match synth with None -> Json.Null | Some rows -> synth_json rows));
-        ("obs_overhead", obs_json obs);
-        ("metrics", Metrics.to_json ());
+        Json.String m.Experiments.quantity;
+        Json.String m.Experiments.paper_claim;
+        Json.String (Fmt.str "%a" Fit.pp_model (Experiments.fitted m));
+        Json.Bool (Experiments.agrees m);
+        Json.List
+          (List.map (fun (n, y) -> Json.List [ Json.Int n; Json.Float y ]) m.Experiments.points);
       ]
   in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc
+  encode Schema.report
+    [
+      Json.String r.Experiments.title;
+      Json.Bool (Experiments.all_agree r);
+      Json.List (List.map measurement r.Experiments.measurements);
+    ]
 
 (* --- entry ------------------------------------------------------------------ *)
 
@@ -1104,11 +880,14 @@ let () =
     else begin
       let reports =
         match family with
-        | Some f ->
+        | Some f -> (
             (* family mode: only the graph-family ladders, filtered by title *)
-            List.filter
-              (fun r -> title_contains r.Experiments.title f)
-              (Experiments.family_ladders ?pool ~deep ~quick ())
+            match Experiments.select f (Experiments.family_ladders ?pool ~deep ~quick ()) with
+            | Ok reports -> reports
+            | Error msg ->
+                Fmt.epr "bench: --family: %s@." msg;
+                Option.iter Pool.shutdown pool;
+                exit 2)
         | None -> Experiments.all ?pool ~deep ~quick ()
       in
       List.iter (fun r -> Fmt.pr "%a@." Experiments.pp_report r) reports;
@@ -1128,65 +907,92 @@ let () =
       List.iter (fun r -> Fmt.pr "%a@." Experiments.pp_report r) fams;
       fams
     end
-    else List.filter (fun r -> title_contains r.Experiments.title "Families:") reports
+    else List.filter (fun r -> Experiments.contains r.Experiments.title "Families:") reports
   in
-  let wallclock_rows = if wallclock && not micro_only then Some (run_wallclock ()) else None in
-  let micro = run_micro () in
-  pp_micro micro;
-  let ir_micro = run_ir_micro () in
-  pp_ir_micro ir_micro;
-  let snap = run_snap_micro ~quick in
-  pp_snap snap;
-  let rewarm = run_rewarm_micro ~quick in
-  pp_rewarm rewarm;
-  let serve = run_serve_micro () in
-  pp_serve serve;
+  let wallclock =
+    if wallclock && not micro_only then
+      Some
+        (show "Wall-clock microbenchmarks (one per paper artifact)" Schema.wallclock
+           (run_wallclock ()))
+    else None
+  in
+  let micro =
+    show "Lazy vs eager world microbenchmarks (gate 10x)" Schema.micro (run_micro ())
+  in
+  let ir_micro =
+    show "Batched-IR vs closure microbenchmarks (gate 10x)" Schema.ir_micro (run_ir_micro ())
+  in
+  let snap =
+    show "Snapshot-load vs cold-build microbenchmarks (gate 10x)" Schema.snap
+      (run_snap_micro ~quick)
+  in
+  let rewarm =
+    show "Session re-warm through the serving layer (report-only)" Schema.rewarm
+      [ run_rewarm_micro ~quick ]
+  in
+  let serve =
+    show "Serving-layer microbenchmarks (ns per request)" Schema.serve (run_serve_micro ())
+  in
   (* the saturation ramp needs a real CLI binary to spawn the sharded
      tier from; without --serve-exe the entry is null in the JSON *)
   let saturation = Option.map (fun exe -> measure_saturation ~exe ~quick) serve_exe in
   Option.iter pp_saturation saturation;
-  let synth = if synth_flag then Some (run_synth_micro ()) else None in
-  Option.iter pp_synth synth;
-  let obs = measure_obs_overhead () in
-  pp_obs obs;
+  let synth =
+    if synth_flag then
+      Some
+        (show "SAT-synthesis cost (report-only; verdicts gated by @synth-smoke)" Schema.synth
+           (run_synth_micro ()))
+    else None
+  in
+  let obs =
+    show "Instrumentation overhead (metrics disabled, median of 20 pair ratios, gate 1.05)"
+      Schema.obs_overhead [ measure_obs_overhead () ]
+  in
   if metrics then Fmt.pr "@.%a@." Metrics.pp ();
   let speedup =
-    if micro_only || json = None then None else Some (measure_speedup ~pool ~quick)
+    if micro_only || json = None then None
+    else
+      Some
+        (show "Speedup: sequential vs parallel (gated only on >= 2 cores and >= 2 domains)"
+           Schema.parallel [ measure_speedup ~pool ~quick ])
   in
-  Option.iter
-    (fun s ->
-      Fmt.pr "@.== Speedup: %s — %.2fs sequential, %.2fs on %d domain%s (%.2fx)%s ==@."
-        s.workload s.seq_seconds s.par_seconds s.sp_domains
-        (if s.sp_domains = 1 then "" else "s")
-        s.speedup
-        (if speedup_gated s then ""
-         else Printf.sprintf " [gate skipped: %d core%s, %d domain%s]" s.sp_cores
-             (if s.sp_cores = 1 then "" else "s")
-             s.sp_domains
-             (if s.sp_domains = 1 then "" else "s")))
-    speedup;
   (match json with
   | None -> ()
   | Some path ->
-      write_json ~path ~quick ~domains ~reports ~families ~wallclock:wallclock_rows ~speedup
-        ~micro ~ir_micro ~snap ~rewarm ~serve ~saturation ~obs ~synth;
+      let opt f = Option.fold ~none:Json.Null ~some:f in
+      let doc =
+        encode Schema.document
+          [
+            Json.Bool quick;
+            Json.Int domains;
+            Json.List (List.map report_json reports);
+            Json.List (List.map report_json families);
+            opt rows_json wallclock;
+            opt row_json speedup;
+            rows_json micro;
+            rows_json ir_micro;
+            rows_json snap;
+            row_json rewarm;
+            rows_json serve;
+            opt saturation_json saturation;
+            opt rows_json synth;
+            row_json obs;
+            Metrics.to_json ();
+          ]
+      in
+      let oc = open_out path in
+      output_string oc (Json.to_string doc);
+      output_char oc '\n';
+      close_out oc;
       Fmt.pr "wrote %s@." path);
   Option.iter Pool.shutdown pool;
-  let mismatch =
-    List.exists (fun r -> not (Experiments.all_agree r)) (reports @ families)
+  let sections =
+    [ micro; ir_micro; snap; rewarm; serve; obs ]
+    @ List.filter_map Fun.id [ wallclock; synth; speedup ]
   in
-  let speedup_failed = match speedup with Some s -> not (speedup_ok s) | None -> false in
-  if not (micro_ok micro) then
-    Fmt.pr "== FAIL: a world-session microbenchmark fell below the 10x lazy-vs-eager bar ==@.";
-  if not (ir_micro_ok ir_micro) then
-    Fmt.pr "== FAIL: a batched-IR microbenchmark fell below the 10x batched-vs-closure bar ==@.";
-  if not (snap_ok snap) then
-    Fmt.pr "== FAIL: a snapshot load fell below the 10x load-vs-build bar ==@.";
-  if speedup_failed then
-    Fmt.pr "== FAIL: the parallel run lost to the sequential run on a multi-core box ==@.";
-  if not (obs_ok obs) then
-    Fmt.pr "== FAIL: the metrics-disabled hot path exceeded the %.0f%% overhead gate ==@."
-      ((obs_gate -. 1.0) *. 100.0);
-  if mismatch || not (micro_ok micro) || not (ir_micro_ok ir_micro) || not (snap_ok snap)
-     || speedup_failed || not (obs_ok obs)
-  then exit 1
+  (* outside --micro the families are among the reports *)
+  match failures sections (if micro_only then families else reports) with
+  | [] -> ()
+  | failed ->
+      List.iter (Fmt.pr "== FAIL: %s ==@.") failed;
+      exit 1

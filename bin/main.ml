@@ -185,22 +185,12 @@ let emit_json json doc =
           output_char oc '\n');
       Fmt.pr "wrote %s@." path
 
-(* --- case-insensitive substring match (--only / --family filters) ---------- *)
-
-let contains hay needle =
-  let hay = String.lowercase_ascii hay and needle = String.lowercase_ascii needle in
-  let rec go i =
-    i + String.length needle <= String.length hay
-    && (String.sub hay i (String.length needle) = needle || go (i + 1))
-  in
-  go 0
-
 (* The registry entries whose name and family contain the filters. *)
 let select_entries ~only ~family =
   List.filter
     (fun (e : Vc_check.Registry.entry) ->
-      (match only with None -> true | Some f -> contains e.name f)
-      && match family with None -> true | Some f -> contains e.family f)
+      (match only with None -> true | Some f -> Experiments.contains e.name f)
+      && match family with None -> true | Some f -> Experiments.contains e.family f)
     (Vc_check.Registry.all ())
 
 (* --- experiments ---------------------------------------------------------- *)
@@ -217,17 +207,20 @@ let experiments_cmd =
   let filter =
     Arg.(
       value & pos 0 (some string) None
-      & info [] ~docv:"FILTER" ~doc:"Only run reports whose title contains \\$(docv).")
+      & info [] ~docv:"FILTER"
+          ~doc:
+            "Only print reports whose title contains $(docv) (case-insensitive); exit 2, \
+             listing the titles, when none does.")
   in
   let run quick deep filter jobs =
     let reports = with_jobs jobs (fun pool -> Experiments.all ?pool ~deep ~quick ()) in
-    let selected =
-      match filter with
-      | None -> reports
-      | Some f -> List.filter (fun r -> contains r.Experiments.title f) reports
-    in
-    List.iter (fun r -> Fmt.pr "%a@." Experiments.pp_report r) selected;
-    if List.for_all Experiments.all_agree selected then 0 else 1
+    match Option.fold ~none:(Ok reports) ~some:(fun f -> Experiments.select f reports) filter with
+    | Error msg ->
+        Fmt.epr "experiments: %s@." msg;
+        2
+    | Ok selected ->
+        List.iter (fun r -> Fmt.pr "%a@." Experiments.pp_report r) selected;
+        if List.for_all Experiments.all_agree selected then 0 else 1
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Reproduce the paper's tables and figures.")
@@ -978,7 +971,7 @@ let snap_cmd =
             (fun path ->
               match only with
               | None -> true
-              | Some f -> contains (Filename.basename path) f)
+              | Some f -> Experiments.contains (Filename.basename path) f)
             (Vc_check.Registry.Store.files store)
         in
         List.iter

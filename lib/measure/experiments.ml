@@ -52,6 +52,22 @@ let pp_report ppf r =
 
 let all_agree r = List.for_all agrees r.measurements
 
+let contains hay needle =
+  let hay = String.lowercase_ascii hay and needle = String.lowercase_ascii needle in
+  let rec go i =
+    i + String.length needle <= String.length hay
+    && (String.sub hay i (String.length needle) = needle || go (i + 1))
+  in
+  go 0
+
+let select filter reports =
+  match List.filter (fun r -> contains r.title filter) reports with
+  | [] ->
+      Error
+        (Printf.sprintf "no report title contains %S; the titles are:\n%s" filter
+           (String.concat "\n" (List.map (fun r -> "  " ^ r.title) reports)))
+  | selected -> Ok selected
+
 (* --- measurement helpers ------------------------------------------------- *)
 
 (* Ladder selection.  [quick] is the CI profile.  The standard profile

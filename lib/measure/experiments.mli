@@ -40,6 +40,14 @@ val pp_report : Format.formatter -> report -> unit
 
 val all_agree : report -> bool
 
+val contains : string -> string -> bool
+(** [contains s sub]: [sub] occurs in [s], ignoring ASCII case — the one
+    rule behind every title and name filter of the CLIs. *)
+
+val select : string -> report list -> (report list, string) result
+(** The reports whose title {!contains} the filter; when none does, an
+    error that lists every title. *)
+
 (** {1 Table 1 (one report per row)} *)
 
 val table1_leafcoloring : ?pool:Vc_exec.Pool.t -> ?deep:bool -> quick:bool -> unit -> report
